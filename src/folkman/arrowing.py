@@ -12,12 +12,12 @@ returned as a concrete counterexample otherwise.  Node budgets make
 from __future__ import annotations
 
 import multiprocessing
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from multiprocessing.connection import wait
+from typing import Callable, Iterable, Sequence
 
 from .graphs import Graph, _mask_has_clique, clique_number, join
-from .signatures import Signature, as_signature
+from .signatures import Signature, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -26,6 +26,9 @@ FREE = "free-coloring"
 UNDECIDED = "undecided"
 
 _FOUND, _EXHAUSTED, _OUT_OF_BUDGET = 0, 1, 2
+# Worker limit standing in for an unlimited budget: never reached.
+_NO_LIMIT = 2**62
+_SYNC = 2048
 
 
 class BudgetExceededError(RuntimeError):
@@ -58,34 +61,36 @@ def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit", "shared", "pending", "interval")
+    __slots__ = ("nodes", "limit", "shared")
 
-    def __init__(self, limit: int | None, shared=None, interval: int = 2048):
+    def __init__(self, limit: int | None, shared=None):
         self.nodes = 0
         self.limit = limit
         self.shared = shared
-        self.pending = 0
-        self.interval = interval
 
     def spend(self) -> bool:
         """Count one node; True means the budget is exhausted."""
         self.nodes += 1
         if self.shared is not None:
-            self.pending += 1
-            if self.pending >= self.interval:
-                with self.shared.get_lock():
-                    self.shared.value += self.pending
-                    total = self.shared.value
-                self.pending = 0
-                return self.limit is not None and total > self.limit
-            return False
+            # A worker adds its nodes to the shared count _SYNC at a time.
+            if self.nodes % _SYNC:
+                return False
+            with self.shared.get_lock():
+                self.shared.value += _SYNC
+                return self.shared.value > self.limit
         return self.limit is not None and self.nodes > self.limit
 
 
+def _found(masks: list[int]) -> int:
+    """Default leaf of `_extend`: a full assignment is a free coloring."""
+    return _FOUND
+
+
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget) -> int:
+            pos: int, masks: list[int], budget: _Budget,
+            leaf: Callable[[list[int]], int] = _found) -> int:
     if pos == len(order):
-        return _FOUND
+        return leaf(masks)
     v = order[pos]
     vbit = 1 << v
     nbrs = adj[v]
@@ -99,7 +104,7 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
         if _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        res = _extend(adj, parts, order, pos + 1, masks, budget)
+        res = _extend(adj, parts, order, pos + 1, masks, budget, leaf)
         if res != _EXHAUSTED:
             return res  # keep masks intact: on _FOUND they hold the coloring
         masks[c] &= ~vbit
@@ -121,55 +126,16 @@ def _vertex_order(g: Graph) -> list[int]:
     return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
 
 
-def _enumerate_prefixes(adj, parts, order, depth, budget) -> list[tuple[int, ...]] | None:
-    """All viable color prefixes for order[:depth]; None if the budget died first."""
-    out: list[tuple[int, ...]] = []
-    masks = [0] * len(parts)
-    chosen: list[int] = []
-
-    def rec(pos: int) -> bool:
-        if pos == depth:
-            out.append(tuple(chosen))
-            return True
-        v = order[pos]
-        vbit = 1 << v
-        for c, cap in enumerate(parts):
-            if c and parts[c - 1] == cap and not masks[c - 1]:
-                continue
-            if budget.spend():
-                return False
-            if _mask_has_clique(adj, masks[c] & adj[v], cap - 1):
-                continue
-            masks[c] |= vbit
-            chosen.append(c)
-            ok = rec(pos + 1)
-            chosen.pop()
-            masks[c] &= ~vbit
-            if not ok:
-                return False
-        return True
-
-    return out if rec(0) else None
-
-
-_WORKER_SHARED = None
-
-
-def _init_worker(counter, limit):
-    global _WORKER_SHARED
-    _WORKER_SHARED = (counter, limit)
-
-
-def _search_task(args) -> tuple[int, tuple[int, ...] | None, int]:
-    adj, parts, order, prefix = args
-    counter, limit = _WORKER_SHARED
-    budget = _Budget(limit, shared=counter)
-    masks = [0] * len(parts)
-    for pos, c in enumerate(prefix):
-        masks[c] |= 1 << order[pos]
-    res = _extend(adj, parts, order, len(prefix), masks, budget)
-    coloring = _coloring_from_masks(masks, len(adj)) if res == _FOUND else None
-    return res, coloring, budget.nodes
+def _search_worker(adj, parts, order, depth, prefixes, tasks, out, counter, limit):
+    """Search the subtrees whose prefix indices `tasks` hands out, sending one
+    (result, coloring, nodes) per subtree down `out`; stop at a None or once
+    the shared count has passed `limit`."""
+    while (i := tasks.get()) is not None and counter.value <= limit:
+        budget = _Budget(limit, shared=counter)
+        masks = list(prefixes[i])
+        res = _extend(adj, parts, order, depth, masks, budget)
+        coloring = _coloring_from_masks(masks, len(adj)) if res == _FOUND else None
+        out.send((res, coloring, budget.nodes))
 
 
 def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
@@ -215,41 +181,69 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 def _parallel_search(g: Graph, parts: tuple[int, ...], order: list[int],
                      budget: int | None, jobs: int) -> SearchResult:
     bud = _Budget(budget)
-    depth = 1
-    prefixes = _enumerate_prefixes(g.adj, parts, order, depth, bud)
-    while prefixes is not None and len(prefixes) < 3 * jobs and depth < min(g.n, 6):
-        depth += 1
-        prefixes = _enumerate_prefixes(g.adj, parts, order, depth, bud)
-    if prefixes is None:
-        return SearchResult(UNDECIDED, None, bud.nodes)
+    prefixes: list[tuple[int, ...]] = []
+
+    def collect(masks: list[int]) -> int:
+        prefixes.append(tuple(masks))
+        return _EXHAUSTED
+
+    for depth in range(1, min(g.n, 6) + 1):
+        prefixes.clear()
+        if _extend(g.adj, parts, order[:depth], 0, [0] * len(parts), bud,
+                   collect) == _OUT_OF_BUDGET:
+            return SearchResult(UNDECIDED, None, bud.nodes)
+        if len(prefixes) >= 3 * jobs:
+            break
     if not prefixes:
         return SearchResult(ARROWS, None, bud.nodes)
-    remaining = None if budget is None else budget - bud.nodes
+    # Workers stop once the shared count passes `limit`; pushing it past is
+    # also how the search stops them when it returns early.
+    limit = _NO_LIMIT if budget is None else budget - bud.nodes
     methods = multiprocessing.get_all_start_methods()
     ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
     counter = ctx.Value("q", 0)
-    total_nodes = bud.nodes
+    # Workers take prefix indices from `tasks` and each sends its results down
+    # its own pipe, whose end of file says that the worker has exited.
+    tasks = ctx.SimpleQueue()
+    readers, procs = [], []
+    total_nodes, reported = bud.nodes, 0
     verdict = ARROWS
     coloring = None
-    with ProcessPoolExecutor(max_workers=jobs, mp_context=ctx,
-                             initializer=_init_worker,
-                             initargs=(counter, remaining)) as pool:
-        pending = {pool.submit(_search_task, (g.adj, parts, order, pfx)) for pfx in prefixes}
-        try:
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    res, col, nodes = fut.result()
-                    total_nodes += nodes
-                    if res == _FOUND:
-                        verdict = FREE
-                        coloring = col
-                        pending = set()
-                        break
-                    if res == _OUT_OF_BUDGET:
-                        verdict = UNDECIDED
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
+    try:
+        for _ in range(jobs):
+            reader, writer = ctx.Pipe(duplex=False)
+            procs.append(ctx.Process(target=_search_worker, daemon=True, args=(
+                g.adj, parts, order, depth, prefixes, tasks, writer, counter, limit)))
+            procs[-1].start()
+            writer.close()
+            readers.append(reader)
+        for i in [*range(len(prefixes)), *[None] * jobs]:
+            tasks.put(i)
+        while readers and verdict != FREE:
+            for reader in wait(readers):
+                try:
+                    res, col, nodes = reader.recv()
+                except EOFError:
+                    readers.remove(reader)
+                    continue
+                reported += 1
+                total_nodes += nodes
+                if res == _FOUND:
+                    verdict, coloring = FREE, col
+                    break
+                if res == _OUT_OF_BUDGET:
+                    verdict = UNDECIDED
+        if verdict == ARROWS and reported < len(prefixes):
+            raise RuntimeError("a search worker exited before finishing its subtrees")
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        with counter.get_lock():
+            counter.value = limit + 1
+        for proc in procs:
+            proc.join()
     return SearchResult(verdict, coloring, total_nodes)
 
 
@@ -286,16 +280,4 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     The composition law guarantees True; a False return means the engine
     itself is broken, so callers should treat it as fatal.
     """
-    sig1 = as_signature(sig1)
-    sig2 = as_signature(sig2)
-    if sig1.r != sig2.r or sig1.is_empty:
-        raise ValueError(f"signatures must be nonempty and of equal length: {sig1} vs {sig2}")
-    if not 0 <= position < sig1.r:
-        raise ValueError(f"position {position} out of range for {sig1.r} parts")
-    for j in range(sig1.r):
-        if j != position and sig1.parts[j] != sig2.parts[j]:
-            raise ValueError(
-                f"signatures differ away from position {position}: {sig1} vs {sig2}")
-    merged = list(sig1.parts)
-    merged[position] = sig1.parts[position] + sig2.parts[position]
-    return arrows(join(g1, g2), merged, budget=budget, jobs=jobs)
+    return arrows(join(g1, g2), merge_at(sig1, sig2, position), budget=budget, jobs=jobs)

@@ -169,66 +169,50 @@ def folkman_exists(sig: Signature | Iterable[int], q: int) -> bool:
     return q > sig.p
 
 
-def _rule_bounds(sig: Signature, q: int) -> BoundRecord:
+def base_bounds(sig: Signature | Iterable[int], q: int,
+                table: KnownTable | None = None) -> BoundRecord:
+    """Bounds from the direct rules, tightened by the known-values table.
+
+    q > m is exact m; q = m exact m+p; q = m-1 yields [m+p+2, m+3p]; for
+    p < q < m-1 no rule applies and both sides stay open.  Wherever the
+    number exists (q > p), the entries of `table` for (sig, q), when a
+    table is supplied, then tighten either side and add a KNOWN-TABLE
+    provenance node.  For q <= p the record says the number does not exist.
+    """
+    sig = as_signature(sig)
+    if sig.is_empty:
+        raise ValueError("bounds are undefined for the empty signature")
     m, p = sig.m, sig.p
     if q <= p:
         return BoundRecord(
             sig, q, None, None,
             (Rule(RULE_EXISTS_FAIL, f"q={q} <= max part {p}: F({sig};{q}) does not exist"),),
             note="nonexistent")
+    note = ""
     if q > m:
-        return BoundRecord(sig, q, m, m, (Rule(RULE_Q_GT_M, f"q={q} > m={m}: exact value m={m}"),))
-    if q == m:
-        return BoundRecord(
-            sig, q, m + p, m + p,
-            (Rule(RULE_Q_EQ_M, f"q=m={m}: exact value m+p={m + p}"),))
-    if q == m - 1:
-        return BoundRecord(
-            sig, q, m + p + 2, m + 3 * p,
-            (Rule(RULE_LOWER_M1, f"q=m-1: lower m+p+2={m + p + 2}"),
-             Rule(RULE_UPPER_M3P, f"q=m-1: upper m+3p={m + 3 * p}")))
-    return BoundRecord(sig, q, None, None, (),
-                       note=f"no rule for q={q} < m-1={m - 1}; supply known values")
-
-
-def _merge_table(rec: BoundRecord, table: KnownTable) -> BoundRecord:
-    known_lower, known_upper, citations = table.combined(rec.signature, rec.q)
-    if known_lower is None and known_upper is None:
-        return rec
-    lower, upper = rec.lower, rec.upper
+        lower = upper = m
+        provenance = (Rule(RULE_Q_GT_M, f"q={q} > m={m}: exact value m={m}"),)
+    elif q == m:
+        lower = upper = m + p
+        provenance = (Rule(RULE_Q_EQ_M, f"q=m={m}: exact value m+p={m + p}"),)
+    elif q == m - 1:
+        lower, upper = m + p + 2, m + 3 * p
+        provenance = (Rule(RULE_LOWER_M1, f"q=m-1: lower m+p+2={m + p + 2}"),
+                      Rule(RULE_UPPER_M3P, f"q=m-1: upper m+3p={m + 3 * p}"))
+    else:
+        lower = upper = None
+        provenance = ()
+        note = f"no rule for q={q} < m-1={m - 1}; supply known values"
+    known_lower, known_upper, citations = (table.combined(sig, q) if table is not None
+                                           else (None, None, []))
     if known_lower is not None and (lower is None or known_lower > lower):
         lower = known_lower
     if known_upper is not None and (upper is None or known_upper < upper):
         upper = known_upper
-    detail = f"table gives [{known_lower}, {known_upper}] ({'; '.join(citations)})"
-    return BoundRecord(rec.signature, rec.q, lower, upper,
-                       rec.provenance + (Rule(RULE_KNOWN_TABLE, detail),), rec.note)
-
-
-def base_bounds(sig: Signature | Iterable[int], q: int,
-                table: KnownTable | None = None) -> BoundRecord:
-    """Bounds from the direct rules alone.
-
-    q > m is exact m; q = m exact m+p; q = m-1 yields [m+p+2, m+3p],
-    tightened by known-table entries when a table is supplied.  For
-    q <= p the record says the number does not exist; for q < m-1 no rule
-    applies and both sides stay open.
-    """
-    sig = as_signature(sig)
-    if sig.is_empty:
-        raise ValueError("bounds are undefined for the empty signature")
-    rec = _rule_bounds(sig, q)
-    if table is not None and q == sig.m - 1:
-        rec = _merge_table(rec, table)
-    return rec
-
-
-def _base_upper(sig: Signature, q: int, table: KnownTable | None) -> BoundRecord:
-    """Rules plus table at any q: the building block the composition DP prices."""
-    rec = _rule_bounds(sig, q)
-    if table is not None:
-        rec = _merge_table(rec, table)
-    return rec
+    if known_lower is not None or known_upper is not None:
+        detail = f"table gives [{known_lower}, {known_upper}] ({'; '.join(citations)})"
+        provenance += (Rule(RULE_KNOWN_TABLE, detail),)
+    return BoundRecord(sig, q, lower, upper, provenance, note)
 
 
 def composition_bound(sig: Signature | Iterable[int], q: int,
@@ -255,22 +239,15 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
         """Best upper for the signature with block v in the last slot, plus a
         leaf provenance node named after the rule that priced it."""
         merged = Signature(tuple(sorted(prefix + (v,))))
-        rule_rec = _rule_bounds(merged, v + 1)
-        rec = _base_upper(merged, v + 1, table)
-        if rec.upper is None:
+        rules = base_bounds(merged, v + 1)
+        _, known, citations = (table.combined(merged, v + 1) if table is not None
+                               else (None, None, []))
+        if known is not None and (rules.upper is None or known < rules.upper):
+            return known, Rule(RULE_KNOWN_TABLE,
+                               f"F({merged};{v + 1}) <= {known} ({'; '.join(citations)})")
+        if rules.upper is None:
             return None, None
-        name = RULE_KNOWN_TABLE
-        suffix = ""
-        if rule_rec.upper is not None and rule_rec.upper == rec.upper:
-            for node in rule_rec.provenance:
-                if node.name in (RULE_UPPER_M3P, RULE_Q_EQ_M, RULE_Q_GT_M):
-                    name = node.name
-                    break
-        if name == RULE_KNOWN_TABLE:
-            citations = table.combined(merged, v + 1)[2] if table is not None else []
-            if citations:
-                suffix = f" ({'; '.join(citations)})"
-        return rec.upper, Rule(name, f"F({merged};{v + 1}) <= {rec.upper}{suffix}")
+        return rules.upper, Rule(rules.provenance[-1].name, f"F({merged};{v + 1}) <= {rules.upper}")
 
     block_cache: dict[int, tuple[int | None, Rule | None]] = {}
 
@@ -341,10 +318,9 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
         raise ValueError("bounds are undefined for the empty signature")
     if table is None:
         table = default_table()
-    rec = _rule_bounds(sig, q)
-    if rec.provenance and rec.provenance[0].name == RULE_EXISTS_FAIL:
+    rec = base_bounds(sig, q, table)
+    if q <= sig.p:
         return rec
-    rec = _merge_table(rec, table)
     lower, upper = rec.lower, rec.upper
     provenance = list(rec.provenance)
 
@@ -413,7 +389,7 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
                     f"{name}, p={p}: closed form {closed_form(p)} != composition {rec.upper}")
             if 4 * rec.upper <= 13 * p:
                 report.conjectured_quarter_bound_holds.append((name, p))
-        step = _base_upper(make_sig(4), 5, table).upper
+        step = base_bounds(make_sig(4), 5, table).upper
         for p in range(8, p_max + 1):
             report.checks += 1
             if (name, p) not in uppers or (name, p - 4) not in uppers:

@@ -19,7 +19,7 @@ from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, UNDECIDED, color_classes,
 from .bounds import BoundRecord, Rule, best_bounds, closed_form_upper_3p, closed_form_upper_22p, default_table
 from .formats import GraphFormatError, read_graph_file
 from .signatures import Signature, normalize
-from .witnesses import (UNVERIFIED, base_witness, format_certificate,
+from .witnesses import (UNVERIFIED, base_witness, certificate_fields, format_certificate,
                         load_external_witness)
 
 EXIT_OK = 0
@@ -59,9 +59,8 @@ def _parse_p_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _load_graph(args) -> "Graph":
-    fmt = _FORMAT_NAMES[args.format] if args.format else None
-    return read_graph_file(args.graph, fmt)
+def _graph_format(args) -> str | None:
+    return _FORMAT_NAMES[args.format] if args.format else None
 
 
 def _emit(args, command: str, result: dict, text_lines: list[str],
@@ -101,7 +100,7 @@ def _record_json(rec: BoundRecord) -> dict:
 
 
 def _cmd_arrow(args) -> int:
-    graph = _load_graph(args)
+    graph = read_graph_file(args.graph, _graph_format(args))
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     result = find_free_coloring(graph, sig, budget=_parse_budget(args.budget), jobs=args.jobs)
@@ -175,24 +174,6 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
-def _certificate_payload(cert) -> dict:
-    from .formats import serialize_graph6
-
-    payload = {
-        "status": cert.status,
-        "signature": list(cert.signature.parts),
-        "q": cert.q,
-        "vertices": cert.vertices,
-        "graph6": serialize_graph6(cert.graph),
-        "construction": cert.construction,
-    }
-    if cert.free_coloring is not None:
-        payload["free_coloring"] = list(cert.free_coloring)
-    if cert.clique is not None:
-        payload["clique"] = list(cert.clique)
-    return payload
-
-
 def _cmd_witness(args) -> int:
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
@@ -204,19 +185,18 @@ def _cmd_witness(args) -> int:
             fh.write(record)
         print(f"note: certificate written to {args.out}", file=sys.stderr)
     lines = record.rstrip("\n").splitlines()
-    _emit(args, "witness", _certificate_payload(cert), lines, seconds, cert.nodes)
+    _emit(args, "witness", certificate_fields(cert), lines, seconds, cert.nodes)
     return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     sig = _parse_sig(args.sig)
-    fmt = _FORMAT_NAMES[args.format] if args.format else None
     started = time.perf_counter()
-    cert = load_external_witness(args.graph, sig, args.q,
-                                 budget=_parse_budget(args.budget), fmt=fmt, jobs=args.jobs)
+    cert = load_external_witness(args.graph, sig, args.q, budget=_parse_budget(args.budget),
+                                 fmt=_graph_format(args), jobs=args.jobs)
     seconds = time.perf_counter() - started
     lines = format_certificate(cert).rstrip("\n").splitlines()
-    _emit(args, "verify", _certificate_payload(cert), lines, seconds, cert.nodes)
+    _emit(args, "verify", certificate_fields(cert), lines, seconds, cert.nodes)
     return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
 
 

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, SearchResult,
+from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, SearchResult, color_classes,
                        find_free_coloring)
 from .bounds import KnownTable, KnownValue, folkman_exists
 from .formats import parse_graph6, read_graph_file, serialize_graph6
-from .graphs import Graph, clique_number, complement, complete, cycle, join, max_clique
-from .signatures import Signature, as_signature
+from .graphs import (Graph, clique_number, complement, complete, cycle, has_clique, join,
+                     max_clique)
+from .signatures import Signature, as_signature, merge_at
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -114,17 +115,7 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate, position: in
     for c in (c1, c2):
         if c.status != VERIFIED:
             raise ValueError(f"can only compose verified certificates, got {c.status}")
-    sig1, sig2 = c1.signature, c2.signature
-    if sig1.r != sig2.r or sig1.is_empty:
-        raise ValueError(f"signatures must be nonempty and of equal length: {sig1} vs {sig2}")
-    if not 0 <= position < sig1.r:
-        raise ValueError(f"position {position} out of range for {sig1.r} parts")
-    for j in range(sig1.r):
-        if j != position and sig1.parts[j] != sig2.parts[j]:
-            raise ValueError(f"signatures differ away from position {position}: {sig1} vs {sig2}")
-    merged_parts = list(sig1.parts)
-    merged_parts[position] = sig1.parts[position] + sig2.parts[position]
-    merged = Signature(tuple(sorted(merged_parts)))
+    merged = merge_at(c1.signature, c2.signature, position)
     graph = join(c1.graph, c2.graph)
     q = clique_number(graph) + 1
     if not folkman_exists(merged, q):
@@ -172,21 +163,31 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
 _CERT_HEADER = "folkman-witness v1"
 
 
+def certificate_fields(cert: WitnessCertificate) -> dict:
+    """A certificate's fields in text-record order; the evidence fields
+    appear only when present."""
+    fields = {
+        "graph6": serialize_graph6(cert.graph),
+        "signature": list(cert.signature.parts),
+        "q": cert.q,
+        "vertices": cert.vertices,
+        "status": cert.status,
+        "construction": cert.construction,
+    }
+    if cert.free_coloring is not None:
+        fields["free_coloring"] = list(cert.free_coloring)
+    if cert.clique is not None:
+        fields["clique"] = list(cert.clique)
+    return fields
+
+
 def format_certificate(cert: WitnessCertificate) -> str:
     """Render a certificate as a machine-parseable text record."""
-    lines = [
-        _CERT_HEADER,
-        f"graph6: {serialize_graph6(cert.graph)}",
-        f"signature: {cert.signature}",
-        f"q: {cert.q}",
-        f"vertices: {cert.vertices}",
-        f"status: {cert.status}",
-        f"construction: {cert.construction}",
-    ]
-    if cert.free_coloring is not None:
-        lines.append("free-coloring: " + ",".join(str(c) for c in cert.free_coloring))
-    if cert.clique is not None:
-        lines.append("clique: " + ",".join(str(v) for v in cert.clique))
+    lines = [_CERT_HEADER]
+    for key, value in certificate_fields(cert).items():
+        if isinstance(value, list):
+            value = ",".join(str(x) for x in value)
+        lines.append(f"{key.replace('_', '-')}: {value}")
     return "\n".join(lines) + "\n"
 
 
@@ -208,11 +209,23 @@ def parse_certificate(text: str) -> WitnessCertificate:
     status = fields["status"]
     if status not in (VERIFIED, UNVERIFIED, REFUTED):
         raise ValueError(f"unknown certificate status {status!r}")
+    if "vertices" in fields and int(fields["vertices"]) != graph.n:
+        raise ValueError(f"certificate says {fields['vertices']} vertices, graph has {graph.n}")
     free_coloring = None
     if "free-coloring" in fields:
         free_coloring = tuple(int(t) for t in fields["free-coloring"].split(","))
+        if len(free_coloring) != graph.n or not all(0 <= c < sig.r for c in free_coloring):
+            raise ValueError(f"free coloring must give each of {graph.n} vertices "
+                             f"one of {sig.r} colors")
+        if any(has_clique(graph, members, cap)
+               for members, cap in zip(color_classes(free_coloring, sig.r), sig.parts)):
+            raise ValueError("free coloring has a monochromatic forbidden clique")
     clique = None
     if "clique" in fields:
         clique = tuple(int(t) for t in fields["clique"].split(","))
+        if len(set(clique)) != len(clique) or not all(0 <= v < graph.n for v in clique):
+            raise ValueError(f"clique vertices must be distinct and below {graph.n}")
+        if not has_clique(graph, clique, len(clique)):
+            raise ValueError("clique evidence is not a clique")
     return WitnessCertificate(graph, sig, int(fields["q"]), status,
                               fields["construction"], free_coloring, clique)

@@ -1,7 +1,9 @@
+import multiprocessing
 import random
 
 import pytest
 
+from folkman import arrowing
 from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError,
                               arrows, color_classes, find_free_coloring,
                               in_class_H, verify_composition_instance)
@@ -154,6 +156,26 @@ def test_jobs_do_not_change_verdicts():
         assert seq.verdict == par.verdict
         if par.verdict == FREE:
             assert coloring_is_free(g, tuple(sorted(sig)), par.coloring)
+
+
+def test_no_worker_outlives_a_parallel_free_search():
+    # The (3,3,4) stock witness on 12 vertices is (3,4,4)-free.
+    g = join(complete(3), complement(cycle(9)))
+    result = find_free_coloring(g, [3, 4, 4], jobs=2)
+    assert result.verdict == FREE
+    assert coloring_is_free(g, (3, 4, 4), result.coloring)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="the stand-in worker must reach the child by fork")
+def test_a_worker_that_dies_is_not_read_as_arrows(monkeypatch):
+    # A worker that exits without reporting its subtrees must not leave the
+    # search to claim that the unsearched part of the tree arrows.
+    monkeypatch.setattr(arrowing, "_search_worker", lambda *args: None)
+    with pytest.raises(RuntimeError):
+        find_free_coloring(join(cycle(5), cycle(5)), [2, 4], jobs=2)
+    assert multiprocessing.active_children() == []
 
 
 def test_nodes_are_counted():

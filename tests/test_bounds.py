@@ -43,6 +43,17 @@ def test_base_bounds_boundary_with_table():
     assert any(r.name == RULE_KNOWN_TABLE for r in rec.provenance)
 
 
+def test_base_bounds_table_applies_at_every_existing_q():
+    # q = m for (2,2): the table's exhaustive-search entry adds provenance
+    # but cannot move the exact rule value.
+    rec = base_bounds([2, 2], 3, TABLE)
+    assert (rec.lower, rec.upper) == (5, 5)
+    assert [r.name for r in rec.provenance] == ["Q-EQ-M", RULE_KNOWN_TABLE]
+    assert rec.provenance[1].detail == (
+        "table gives [5, 5] (derived: exhaustive search over all 4-vertex graphs)")
+    assert [r.name for r in base_bounds([2, 2], 3).provenance] == ["Q-EQ-M"]
+
+
 def test_base_bounds_225():
     rec = base_bounds([2, 2, 5], 6)
     assert (rec.lower, rec.upper) == (14, 22)
@@ -175,6 +186,44 @@ def test_best_bounds_examples():
     assert best_bounds([2, 2, 3], 4, TABLE).lower == 14
     rec = best_bounds([3, 9], 10, TABLE)
     assert (rec.lower, rec.upper) == (22, 35)
+
+
+def _tree(rules):
+    return [(r.name, r.detail, _tree(r.children)) for r in rules]
+
+
+def test_best_bounds_full_provenance():
+    rec = best_bounds([3, 9], 10, TABLE)
+    assert _tree(rec.provenance) == [
+        ("LOWER-M-1", "q=m-1: lower m+p+2=22", []),
+        ("UPPER-M3P", "q=m-1: upper m+3p=38", []),
+        ("THEOREM-COMPOSE", "4+5: 13+22", [
+            ("KNOWN-TABLE", "F(3,4;5) <= 13 (ref [6])", []),
+            ("UPPER-M3P", "F(3,5;6) <= 22", [])]),
+    ]
+    rec = best_bounds([2, 2, 10], 11, TABLE)
+    assert (rec.lower, rec.upper) == (24, 35)
+    assert _tree(rec.provenance) == [
+        ("LOWER-M-1", "q=m-1: lower m+p+2=24", []),
+        ("UPPER-M3P", "q=m-1: upper m+3p=42", []),
+        ("THEOREM-COMPOSE", "4+6: 13+22", [
+            ("KNOWN-TABLE", "F(2,2,4;5) <= 13 (ref [7])", []),
+            ("KNOWN-TABLE", "F(2,2,6;7) <= 22 (ref [9])", [])]),
+        ("MONOTONE-SUBSUME", "a (2,2,10) witness follows from any (3,10) witness: upper 39", [
+            ("LOWER-M-1", "q=m-1: lower m+p+2=24", []),
+            ("UPPER-M3P", "q=m-1: upper m+3p=42", []),
+            ("THEOREM-COMPOSE", "4+6: 13+26", [
+                ("KNOWN-TABLE", "F(3,4;5) <= 13 (ref [6])", []),
+                ("UPPER-M3P", "F(3,6;7) <= 26", [])])]),
+    ]
+    rec = best_bounds([2, 2], 3, TABLE)
+    assert (rec.lower, rec.upper) == (5, 5)
+    assert _tree(rec.provenance) == [
+        ("Q-EQ-M", "q=m=3: exact value m+p=5", []),
+        ("KNOWN-TABLE",
+         "table gives [5, 5] (derived: exhaustive search over all 4-vertex graphs)", []),
+        ("THEOREM-COMPOSE", "2: 5", [("Q-EQ-M", "F(2,2;3) <= 5", [])]),
+    ]
 
 
 def test_best_bounds_exact_rules_for_small_signatures():

@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import folkman
 from folkman.cli import main
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import complement, complete, cycle, from_edges, join
@@ -201,9 +204,13 @@ def test_usage_errors_exit_one(capsys, c5_path):
 
 
 def test_module_entry_point(c5_path):
+    # The child interpreter imports the same package this test process does.
+    src = str(Path(folkman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "folkman.cli", "arrow", "--graph", c5_path,
          "--sig", "2,2"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "arrows: true" in proc.stdout

@@ -179,6 +179,12 @@ def test_certificate_round_trip_with_evidence(tmp_path):
     back = parse_certificate(format_certificate(cert))
     assert back.status == REFUTED
     assert back.clique == cert.clique
+    path = tmp_path / "c7.el"
+    path.write_text(serialize_edge_list(cycle(7)))
+    cert = load_external_witness(str(path), [3, 3], 4)
+    back = parse_certificate(format_certificate(cert))
+    assert back.status == REFUTED
+    assert back.free_coloring == cert.free_coloring
 
 
 def test_certificate_parse_errors():
@@ -189,6 +195,22 @@ def test_certificate_parse_errors():
     good = format_certificate(base_witness([2, 2], 3))
     with pytest.raises(ValueError):
         parse_certificate(good.replace("status: verified", "status: maybe"))
+    # Evidence that contradicts the certificate's own 5-vertex graph.
+    with pytest.raises(ValueError, match="vertices"):
+        parse_certificate(good.replace("vertices: 5", "vertices: 99"))
+    refuted = good.replace("status: verified", "status: refuted")
+    with pytest.raises(ValueError, match="free coloring"):
+        parse_certificate(refuted + "free-coloring: 0,1,0,1\n")  # wrong length
+    with pytest.raises(ValueError, match="free coloring"):
+        parse_certificate(refuted + "free-coloring: 0,1,0,1,2\n")  # color out of range
+    with pytest.raises(ValueError, match="forbidden clique"):
+        parse_certificate(refuted + "free-coloring: 0,0,0,0,0\n")  # not free
+    with pytest.raises(ValueError, match="distinct"):
+        parse_certificate(refuted + "clique: 0,0\n")
+    with pytest.raises(ValueError, match="distinct"):
+        parse_certificate(refuted + "clique: 0,1,2,40\n")
+    with pytest.raises(ValueError, match="not a clique"):
+        parse_certificate(refuted + "clique: 0,1,2\n")  # C5 is triangle-free
 
 
 def test_verified_small_certificates_confirmed_by_naive_oracle():
