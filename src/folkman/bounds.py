@@ -116,6 +116,8 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
     """Parse the line-oriented known-values format.
 
     Each line is ``a1,a2,...;q;lower|-;upper|-;citation`` with ``#`` comments.
+    An entry for a number that does not exist (q <= max part), or one that
+    contradicts the exact rules, is rejected with its source and line.
     """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -134,9 +136,13 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
         try:
-            out.append(KnownValue(sig, q, lower, upper, citation.strip()))
+            entry = KnownValue(sig, q, lower, upper, citation.strip())
+            if not folkman_exists(sig, q):
+                raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
+            base_bounds(sig, q, KnownTable([entry]))  # raises if the exact rules disagree
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
+        out.append(entry)
     return out
 
 
@@ -314,8 +320,6 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     table (plus the FOLKMAN_TABLE override).
     """
     sig = as_signature(sig)
-    if sig.is_empty:
-        raise ValueError("bounds are undefined for the empty signature")
     if table is None:
         table = default_table()
     rec = base_bounds(sig, q, table)

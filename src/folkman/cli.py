@@ -19,8 +19,8 @@ from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, UNDECIDED, color_classes,
 from .bounds import BoundRecord, Rule, best_bounds, closed_form_upper_3p, closed_form_upper_22p, default_table
 from .formats import GraphFormatError, read_graph_file
 from .signatures import Signature, normalize
-from .witnesses import (UNVERIFIED, base_witness, certificate_fields, format_certificate,
-                        load_external_witness)
+from .witnesses import (UNVERIFIED, WitnessCertificate, base_witness, certificate_fields,
+                        format_certificate, load_external_witness)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -174,19 +174,22 @@ def _cmd_table(args) -> int:
     return EXIT_OK
 
 
+def _emit_certificate(args, command: str, cert: WitnessCertificate, seconds: float) -> int:
+    lines = format_certificate(cert).rstrip("\n").splitlines()
+    _emit(args, command, certificate_fields(cert), lines, seconds, cert.nodes)
+    return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
+
+
 def _cmd_witness(args) -> int:
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     cert = base_witness(sig, args.q, budget=_parse_budget(args.verify_budget), jobs=args.jobs)
     seconds = time.perf_counter() - started
-    record = format_certificate(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(record)
+            fh.write(format_certificate(cert))
         print(f"note: certificate written to {args.out}", file=sys.stderr)
-    lines = record.rstrip("\n").splitlines()
-    _emit(args, "witness", certificate_fields(cert), lines, seconds, cert.nodes)
-    return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
+    return _emit_certificate(args, "witness", cert, seconds)
 
 
 def _cmd_verify(args) -> int:
@@ -194,10 +197,7 @@ def _cmd_verify(args) -> int:
     started = time.perf_counter()
     cert = load_external_witness(args.graph, sig, args.q, budget=_parse_budget(args.budget),
                                  fmt=_graph_format(args), jobs=args.jobs)
-    seconds = time.perf_counter() - started
-    lines = format_certificate(cert).rstrip("\n").splitlines()
-    _emit(args, "verify", certificate_fields(cert), lines, seconds, cert.nodes)
-    return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
+    return _emit_certificate(args, "verify", cert, time.perf_counter() - started)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,10 +259,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    started = time.perf_counter()
     try:
         return args.handler(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        _emit(args, args.command, {"error": str(exc)}, [], time.perf_counter() - started, None)
         return EXIT_ERROR
 
 

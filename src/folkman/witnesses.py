@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, SearchResult, color_classes,
-                       find_free_coloring)
+from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
 from .bounds import KnownTable, KnownValue, folkman_exists
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import (Graph, clique_number, complement, complete, cycle, has_clique, join,
@@ -23,11 +22,6 @@ from .signatures import Signature, as_signature, merge_at
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
 REFUTED = "refuted"
-
-# Exhaustive q = m verification is attempted only when the pruned search is
-# plausible at desk scale; larger instances stay unverified.
-_VERIFY_VERTEX_CAP = {1: 24, 2: 24, 3: 15}
-_VERIFY_VERTEX_CAP_DEFAULT = 12
 
 
 @dataclass(frozen=True)
@@ -55,14 +49,17 @@ class WitnessCertificate:
         return self.graph.n if self.status == VERIFIED else None
 
 
-def _certify(graph: Graph, sig: Signature, q: int, construction: str,
-             result: SearchResult) -> WitnessCertificate:
-    if result.verdict == ARROWS:
-        return WitnessCertificate(graph, sig, q, VERIFIED, construction, nodes=result.nodes)
-    if result.verdict == FREE:
-        return WitnessCertificate(graph, sig, q, REFUTED, construction,
-                                  free_coloring=result.coloring, nodes=result.nodes)
-    return WitnessCertificate(graph, sig, q, UNVERIFIED, construction, nodes=result.nodes)
+def _check(graph: Graph, sig: Signature, q: int, construction: str,
+           budget: int | None, jobs: int) -> WitnessCertificate:
+    """Decide the claim graph in H(sig; q): a clique of q vertices refutes it
+    outright, else the engine decides arrowing within budget."""
+    clique = max_clique(graph)
+    if len(clique) >= q:
+        return WitnessCertificate(graph, sig, q, REFUTED, construction, clique=tuple(clique))
+    result = find_free_coloring(graph, sig, budget=budget, jobs=jobs)
+    status = {ARROWS: VERIFIED, FREE: REFUTED}.get(result.verdict, UNVERIFIED)
+    return WitnessCertificate(graph, sig, q, status, construction,
+                              free_coloring=result.coloring, nodes=result.nodes)
 
 
 def base_witness(sig: Signature | Iterable[int], q: int,
@@ -74,8 +71,8 @@ def base_witness(sig: Signature | Iterable[int], q: int,
     clique number m stays below q.  For q = m the candidate is
     join(K_{m-p-1}, complement(C_{2p+1})) on m+p vertices with clique number
     m-1; it is never trusted, only certified after the engine confirms it
-    exhaustively (unverified when that search is implausible or runs out of
-    budget).  No construction is known for q < m.
+    exhaustively.  `budget` alone bounds that search: the certificate stays
+    unverified when the budget runs out.  No construction is known for q < m.
     """
     sig = as_signature(sig)
     if sig.is_empty:
@@ -84,21 +81,12 @@ def base_witness(sig: Signature | Iterable[int], q: int,
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
     m, p = sig.m, sig.p
     if q > m:
-        graph = complete(m)
-        return WitnessCertificate(graph, sig, q, VERIFIED, f"complete({m})")
-    if q == m:
-        graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))
-        construction = f"join(complete({m - p - 1}), complement(cycle({2 * p + 1})))"
-        cl = clique_number(graph)
-        if cl >= q:
-            return WitnessCertificate(graph, sig, q, REFUTED, construction,
-                                      clique=tuple(max_clique(graph)))
-        cap = _VERIFY_VERTEX_CAP.get(sig.r, _VERIFY_VERTEX_CAP_DEFAULT)
-        if graph.n > cap:
-            return WitnessCertificate(graph, sig, q, UNVERIFIED, construction)
-        result = find_free_coloring(graph, sig, budget=budget, jobs=jobs)
-        return _certify(graph, sig, q, construction, result)
-    raise ValueError(f"no base construction known for q={q} < m={m}")
+        return WitnessCertificate(complete(m), sig, q, VERIFIED, f"complete({m})")
+    if q < m:
+        raise ValueError(f"no base construction known for q={q} < m={m}")
+    graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))
+    construction = f"join(complete({m - p - 1}), complement(cycle({2 * p + 1})))"
+    return _check(graph, sig, q, construction, budget, jobs)
 
 
 def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate, position: int,
@@ -117,7 +105,7 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate, position: in
             raise ValueError(f"can only compose verified certificates, got {c.status}")
     merged = merge_at(c1.signature, c2.signature, position)
     graph = join(c1.graph, c2.graph)
-    q = clique_number(graph) + 1
+    q = clique_number(c1.graph) + clique_number(c2.graph) + 1
     if not folkman_exists(merged, q):
         raise ValueError(f"composed clique cap {q} does not exceed max part {merged.p}")
     construction = f"compose[{c1.construction} | {c2.construction}]"
@@ -149,14 +137,9 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
     if q < 1:
         raise ValueError("clique cap q must be >= 1")
     graph = read_graph_file(path, fmt)
-    construction = f"external file {path}"
-    if clique_number(graph) >= q:
-        return WitnessCertificate(graph, sig, q, REFUTED, construction,
-                                  clique=tuple(max_clique(graph)))
-    result = find_free_coloring(graph, sig, budget=budget, jobs=jobs)
-    cert = _certify(graph, sig, q, construction, result)
+    cert = _check(graph, sig, q, f"external file {path}", budget, jobs)
     if cert.status == VERIFIED and table is not None:
-        table.add(KnownValue(sig, q, None, graph.n, citation=construction))
+        table.add(KnownValue(sig, q, None, graph.n, citation=cert.construction))
     return cert
 
 

@@ -72,8 +72,9 @@ def test_base_bounds_below_boundary_has_no_rule():
 
 
 def test_base_bounds_rejects_empty_signature():
-    with pytest.raises(ValueError):
-        base_bounds(normalize([1]), 3)
+    for bound in (base_bounds, best_bounds):
+        with pytest.raises(ValueError, match="empty signature"):
+            bound(normalize([1]), 3)
 
 
 def test_composition_bound_examples():
@@ -315,6 +316,12 @@ def test_parse_known_values_errors_carry_line_numbers():
         parse_known_values("3,4;5;x;13;bad\n")
     with pytest.raises(ValueError, match=":1:"):
         parse_known_values("3,4;5;15;13;inverted\n")
+    with pytest.raises(ValueError, match=":2: F\\(3,4;4\\) does not exist"):
+        parse_known_values("3,4;5;13;13;ok\n3,4;4;-;13;q at the max part\n")
+    with pytest.raises(ValueError, match=":1: inconsistent bounds"):
+        parse_known_values("3,4;8;7;7;q > m makes F exactly m = 6\n")
+    with pytest.raises(ValueError, match=":1: inconsistent bounds"):
+        parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n")
 
 
 def test_table_combines_tightest():

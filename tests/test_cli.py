@@ -172,7 +172,8 @@ def test_witness_json(capsys):
 
 
 def test_witness_unverified_exit_code(capsys):
-    code, out, _ = run_cli(capsys, ["witness", "--sig", "2,2,9", "--q", "11"])
+    code, out, _ = run_cli(capsys, ["witness", "--sig", "2,2,9", "--q", "11",
+                                    "--verify-budget", "100"])
     assert code == 2
     assert "status: unverified" in out
 
@@ -201,6 +202,16 @@ def test_usage_errors_exit_one(capsys, c5_path):
     assert code == 1 and "error:" in err
     code, _, err = run_cli(capsys, ["bound", "--sig", "", "--q", "3"])
     assert code == 1 and "error:" in err
+
+
+def test_errors_under_json_emit_an_envelope(capsys):
+    code, out, err = run_cli(capsys, ["arrow", "--graph", "/nonexistent.g6", "--sig", "2,2",
+                                      "--json"])
+    assert code == 1 and err.startswith("error:")
+    record = json.loads(out)
+    assert set(record) == {"command", "result", "seconds", "nodes"}
+    assert record["command"] == "arrow" and record["nodes"] is None
+    assert record["result"] == {"error": err.strip()[len("error: "):]}
 
 
 def test_module_entry_point(c5_path):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from folkman import witnesses
 from folkman.bounds import KnownTable
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
@@ -70,11 +71,14 @@ def test_base_witness_errors():
         base_witness(normalize([1]), 3)
 
 
-def test_base_witness_guard_leaves_large_cases_unverified():
-    sig = normalize([2, 2, 9])  # m + p = 20 > the r = 3 verification cap
+def test_base_witness_budget_alone_bounds_verification():
+    sig = normalize([2, 2, 9])  # 20 vertices: only the node budget limits the search
     cert = base_witness(sig, sig.m)
+    assert cert.status == VERIFIED
+    assert cert.nodes > 0
+    assert cert.proves_upper == 20
+    cert = base_witness(sig, sig.m, budget=100)
     assert cert.status == UNVERIFIED
-    assert cert.nodes == 0
     assert cert.proves_upper is None
 
 
@@ -105,10 +109,32 @@ def test_compose_two_boundary_witnesses():
     assert cert.vertices == 20
 
 
+def _record_clique_searches(monkeypatch) -> list[int]:
+    """Patch the clique searches `witnesses` calls to record each graph's order."""
+    orders = []
+    for name in ("max_clique", "clique_number"):
+        real = getattr(witnesses, name)
+        monkeypatch.setattr(witnesses, name,
+                            lambda graph, real=real: orders.append(graph.n) or real(graph))
+    return orders
+
+
+def test_compose_sizes_the_join_by_the_composition_law(monkeypatch):
+    c = base_witness([2, 2, 2], 4)
+    for _ in range(2):
+        c = compose_witness(c, c, 2)
+    assert c.signature == normalize([2, 2, 8]) and c.vertices == 24
+    orders = _record_clique_searches(monkeypatch)
+    cert = compose_witness(c, c, 2)
+    assert cert.vertices == 48 and cert.q == 25
+    assert orders and max(orders) <= 24
+
+
 def test_compose_rejects_bad_inputs():
     good = base_witness([2, 2], 3)
-    unverified = base_witness(normalize([2, 2, 9]), 11)
-    with pytest.raises(ValueError):
+    unverified = base_witness([2, 2], 3, budget=1)
+    assert unverified.status == UNVERIFIED
+    with pytest.raises(ValueError, match="only compose verified"):
         compose_witness(good, unverified, 0)
     other = base_witness([2, 3], 4)
     with pytest.raises(ValueError):
@@ -132,6 +158,15 @@ def test_external_witness_refuted_by_clique(tmp_path):
     cert = load_external_witness(str(path), [2, 2], 3)
     assert cert.status == REFUTED
     assert cert.clique is not None and len(cert.clique) == 4
+
+
+def test_external_witness_runs_one_clique_search(tmp_path, monkeypatch):
+    path = tmp_path / "k4.g6"
+    path.write_text(serialize_graph6(complete(4)) + "\n")
+    orders = _record_clique_searches(monkeypatch)
+    cert = load_external_witness(str(path), [2, 2], 3)
+    assert cert.status == REFUTED and len(cert.clique) == 4
+    assert orders == [4]
 
 
 def test_external_witness_refuted_by_free_coloring(tmp_path):
