@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait
 from typing import Callable, Iterable, Sequence
 
-from .graphs import Graph, _mask_has_clique, clique_number, join
+from .graphs import Graph, _mask_has_clique, has_clique, join
 from .signatures import Signature, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
@@ -153,17 +153,10 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
         raise ValueError("budget must be positive (or None for unlimited)")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    if sig.is_empty:
-        # Every vertex is a monochromatic 1-clique once the 1-entries are
-        # restored, so only the empty graph fails to arrow.
-        if g.n >= 1:
-            return SearchResult(ARROWS, None, 0)
-        return SearchResult(FREE, (), 0)
-    if g.n == 0:
-        return SearchResult(FREE, (), 0)
+    # The search itself settles the empty signature and the empty graph.
     parts = sig.parts
-    if clique_number(g) < sig.p:
-        # The widest class can hold every vertex.
+    if parts and not _mask_has_clique(g.adj, (1 << g.n) - 1, sig.p):
+        # No p-clique: the widest class can hold every vertex.
         return SearchResult(FREE, tuple([len(parts) - 1] * g.n), 0)
     order = _vertex_order(g)
     if jobs == 1 or g.n < 2:
@@ -262,7 +255,7 @@ def in_class_H(g: Graph, sig: Signature | Iterable[int], q: int,
     """Membership in H(a1, ..., ar; q): g arrows the signature and cl(g) < q."""
     if q < 1:
         raise ValueError("clique cap q must be >= 1")
-    if clique_number(g) >= q:
+    if has_clique(g, range(g.n), q):
         return False
     return arrows(g, sig, budget=budget, jobs=jobs)
 

@@ -92,12 +92,6 @@ class KnownTable:
     def add(self, entry: KnownValue) -> None:
         self._by_key.setdefault((entry.signature.parts, entry.q), []).append(entry)
 
-    def __len__(self) -> int:
-        return sum(len(v) for v in self._by_key.values())
-
-    def entries(self) -> list[KnownValue]:
-        return [e for group in self._by_key.values() for e in group]
-
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
         group = self._by_key.get((sig.parts, q), [])

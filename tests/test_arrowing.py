@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from folkman import arrowing
-from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError,
+from folkman import arrowing, graphs
+from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError, SearchResult,
                               arrows, color_classes, find_free_coloring,
                               in_class_H, verify_composition_instance)
-from folkman.graphs import complement, complete, cycle, from_edges, join
+from folkman.graphs import Graph, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
 
 from conftest import (coloring_is_free, naive_arrows, properly_colorable,
@@ -52,14 +52,51 @@ def test_in_class_h():
 
 
 def test_empty_signature_cases():
+    # The search settles these itself, at no node: with no color to give,
+    # any vertex arrows; the empty graph has the empty free coloring.
     sig = normalize([1, 1])
-    assert find_free_coloring(complete(1), sig).verdict == ARROWS
-    assert find_free_coloring(cycle(5), sig).verdict == ARROWS
-    assert find_free_coloring(complete(0), sig).verdict == FREE
+    for jobs in (1, 2):
+        for g in (complete(1), complete(2), cycle(5)):
+            assert find_free_coloring(g, sig, jobs=jobs) == SearchResult(ARROWS, None, 0)
+        assert find_free_coloring(complete(0), sig, jobs=jobs) == SearchResult(FREE, (), 0)
 
 
 def test_empty_graph_with_real_signature():
-    assert find_free_coloring(complete(0), [2, 2]).verdict == FREE
+    for jobs in (1, 2):
+        for parts in ([2], [2, 2], [3, 4, 4]):
+            result = find_free_coloring(complete(0), parts, jobs=jobs)
+            assert result == SearchResult(FREE, (), 0)
+
+
+def _mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: triangle-free in, triangle-free out, one
+    more color needed."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u + n, v) for u, v in g.edges()] + [(v + n, u) for u, v in g.edges()]
+    edges += [(u + n, 2 * n) for u in range(n)]
+    return from_edges(2 * n + 1, edges)
+
+
+def test_clique_caps_are_decided_without_a_clique_number(monkeypatch):
+    def no_max_clique(g):
+        raise AssertionError("the engine must decide clique caps, not compute them")
+
+    monkeypatch.setattr(graphs, "max_clique", no_max_clique)
+    witness = join(complete(3), complement(cycle(9)))  # stock (3,3,4) witness, q = 8
+    assert find_free_coloring(witness, [3, 3, 4]).verdict == ARROWS
+    assert in_class_H(witness, [3, 3, 4], 8)
+    assert not in_class_H(witness, [3, 3, 4], 7)
+    raised = find_free_coloring(witness, [3, 4, 4])  # the free neighbour
+    assert raised.verdict == FREE
+    assert coloring_is_free(witness, (3, 4, 4), raised.coloring)
+    assert not in_class_H(witness, [3, 4, 4], 8)
+    m4 = _mycielskian(_mycielskian(cycle(5)))
+    assert m4.n == 23
+    # omega(M4) = 2 < p = 3: the widest class takes every vertex, no search.
+    assert find_free_coloring(m4, [2, 2, 2, 3]) == SearchResult(FREE, (3,) * 23, 0)
+    assert not in_class_H(m4, [2, 2, 2, 3], 3)
+    assert not in_class_H(m4, [2, 2, 2, 3], 2)
 
 
 def test_budget_rejected_when_nonpositive():

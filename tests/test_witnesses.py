@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from folkman import witnesses
+from folkman import graphs, witnesses
+from folkman.arrowing import arrows, verify_composition_instance
 from folkman.bounds import KnownTable
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
@@ -93,11 +94,26 @@ def test_compose_two_pentagon_witnesses():
 
 
 def test_compose_with_recheck():
-    c1 = base_witness([2, 2], 3)
-    cert = compose_witness(c1, c1, 0, verify=True)
+    # compose_witness relies on the law; the engine rechecks it here.
+    c = base_witness([2, 2], 3)
+    cert = compose_witness(c, c, 0)
     assert cert.status == VERIFIED
-    assert "recheck: exhaustive" in cert.construction
-    assert cert.nodes > 0
+    assert cert.signature == normalize([2, 4]) and cert.q == 5
+    assert verify_composition_instance(c.graph, c.signature, c.graph, c.signature, 0)
+    assert arrows(cert.graph, cert.signature)
+
+
+def test_compose_rejects_a_forged_verified_operand():
+    forged = parse_certificate(
+        "folkman-witness v1\n"
+        f"graph6: {serialize_graph6(complete(4))}\n"
+        "signature: 2,2\nq: 3\nstatus: verified\nconstruction: hand-written\n")
+    assert forged.status == VERIFIED
+    with pytest.raises(ValueError, match="a 4-clique refutes the certificate for F\\(2,2;3\\)"):
+        compose_witness(forged, forged, 1)
+    good = base_witness([2, 2], 3)
+    with pytest.raises(ValueError, match="4-clique refutes"):
+        compose_witness(good, forged, 1)
 
 
 def test_compose_two_boundary_witnesses():
@@ -117,6 +133,21 @@ def _record_clique_searches(monkeypatch) -> list[int]:
         monkeypatch.setattr(witnesses, name,
                             lambda graph, real=real: orders.append(graph.n) or real(graph))
     return orders
+
+
+def test_base_witness_runs_one_max_clique_search(monkeypatch):
+    calls = []
+    real = graphs.max_clique
+
+    def counted(graph):
+        calls.append(graph.n)
+        return real(graph)
+
+    monkeypatch.setattr(graphs, "max_clique", counted)
+    monkeypatch.setattr(witnesses, "max_clique", counted)
+    cert = base_witness([4, 4, 5], 11)
+    assert cert.status == VERIFIED and cert.nodes > 0
+    assert calls == [16]
 
 
 def test_compose_sizes_the_join_by_the_composition_law(monkeypatch):
