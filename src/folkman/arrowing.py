@@ -1,12 +1,21 @@
 """Exhaustive arrowing decisions: does every r-coloring of V(G) produce a
 monochromatic a_i-clique in some color class i?
 
-The search assigns colors vertex by vertex (descending degree order), prunes
-a branch as soon as a class would acquire its forbidden clique, and breaks
-symmetry among colors with equal caps by first-use order.  "Arrows" is only
-reported after the pruned tree is provably exhausted; a free coloring is
-returned as a concrete counterexample otherwise.  Node budgets make
-"undecided" a first-class outcome rather than an open-ended run.
+A graph is first split into its co-components, the components of its
+complement.  Every vertex of one co-component is adjacent to every vertex of
+another, so the graph is their join, and by the paper's composition law a
+class's clique number is the sum of its clique numbers in the parts.  The
+singleton co-components form one K_k, which fits a room of r_i per class iff
+the rooms sum to at least k; every other part is decided on its own, under
+each way of sharing the room that can matter.  A co-connected graph is one
+part, searched whole.
+
+A part's search assigns colors vertex by vertex (descending degree order),
+prunes a branch as soon as a class would acquire its forbidden clique, and
+breaks symmetry among colors with equal caps by first-use order.  "Arrows"
+is only reported after the pruned tree is provably exhausted; a free
+coloring is returned as a concrete counterexample otherwise.  Node budgets
+make "undecided" a first-class outcome rather than an open-ended run.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 from multiprocessing.connection import wait
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import Graph, _mask_has_clique, has_clique, join
 from .signatures import Signature, as_signature, merge_at
@@ -122,8 +131,130 @@ def _coloring_from_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _vertex_order(g: Graph) -> list[int]:
-    return sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
+    """The vertices of `block` by descending degree inside it."""
+    return sorted((v for v in range(len(adj)) if block >> v & 1),
+                  key=lambda v: (-(adj[v] & block).bit_count(), v))
+
+
+def _co_components(adj: tuple[int, ...]) -> list[int]:
+    """Vertex masks of the components of the complement, found by a BFS over
+    the complement's rows: u's unvisited non-neighbours are `left & ~adj[u]`."""
+    blocks = []
+    left = (1 << len(adj)) - 1
+    while left:
+        block = frontier = left & -left
+        left ^= block
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = left & ~adj[u]
+            left ^= new
+            frontier |= new
+            block |= new
+        blocks.append(block)
+    return blocks
+
+
+def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
+    """The vectors d <= room with sum(d) == total, generated lazily, the
+    first entry largest first: that puts the even shares of an ascending
+    room early, and their smaller caps make the cheaper searches."""
+    if not room:
+        if total == 0:
+            yield ()
+        return
+    for x in range(min(room[0], total), max(0, total - sum(room[1:])) - 1, -1):
+        for tail in _splits(room[1:], total - x):
+            yield (x, *tail)
+
+
+class _OutOfBudget(Exception):
+    """A part's search ran out of the shared budget."""
+
+
+def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[int],
+                   bud: _Budget) -> list[int] | None:
+    """One mask per color of a free coloring of the join of `blocks`, or None
+    if the join arrows `parts`.
+
+    Class i may hold cliques whose sizes over the blocks sum to at most
+    room_i = a_i - 1.  The singleton blocks form one K_k, which fits a
+    leftover room iff it sums to at least k.  The other blocks are placed in
+    turn: block j takes a share d <= room, must be free under caps d + 1, and
+    leaves room - d to the blocks after it.  A block only gets freer as d
+    grows, so the last block needs only the shares that leave exactly k, and
+    an earlier block skips each d above a share it already passed on.
+    """
+    r = len(parts)
+    singles = 0
+    big = []
+    for block in blocks:
+        if block & (block - 1):
+            big.append(block)
+        else:
+            singles |= block
+    big.sort(key=int.bit_count)  # the largest block is placed last
+    k = singles.bit_count()
+    orders = [_vertex_order(adj, block) for block in big]
+    decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
+    placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...]] | None] = {}
+
+    def decide(j: int, d: tuple[int, ...]) -> list[int] | None:
+        # A cap of 1 keeps its class empty, so only the live colors are
+        # searched, in ascending cap order: (block, caps) names the decision.
+        live = sorted((c for c in range(r) if d[c]), key=d.__getitem__)
+        caps = tuple(d[c] + 1 for c in live)
+        key = (big[j], caps)
+        if key not in decided:
+            masks = [0] * len(caps)
+            res = _extend(adj, caps, orders[j], 0, masks, bud)
+            if res == _OUT_OF_BUDGET:
+                raise _OutOfBudget
+            decided[key] = masks if res == _FOUND else None
+        found = decided[key]
+        if found is None:
+            return None
+        out = [0] * r
+        for c, mask in zip(live, found):
+            out[c] = mask
+        return out
+
+    def place(j: int, room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]] | None:
+        """Masks of blocks j.. and the room they leave for the K_k, or None."""
+        if j == len(big):
+            return ([0] * r, room) if sum(room) >= k else None
+        key = (j, room)
+        if key in placed:
+            return placed[key]
+        placed[key] = None
+        # Every block after this one needs a room of at least 1.
+        spare = sum(room) - k - (len(big) - 1 - j)
+        passed: list[tuple[int, ...]] = []
+        for total in range(spare if j == len(big) - 1 else 1, spare + 1):
+            for d in _splits(room, total):
+                if any(all(x >= y for x, y in zip(d, e)) for e in passed):
+                    continue
+                masks = decide(j, d)
+                if masks is None:
+                    continue
+                rest = place(j + 1, tuple(a - b for a, b in zip(room, d)))
+                if rest is not None:
+                    placed[key] = [m | n for m, n in zip(masks, rest[0])], rest[1]
+                    return placed[key]
+                passed.append(d)
+        return None
+
+    found = place(0, tuple(a - 1 for a in parts))
+    if found is None:
+        return None
+    masks, leftover = found
+    for c, spare in enumerate(leftover):  # deal the K_k out by leftover room
+        for _ in range(spare):
+            if singles:
+                masks[c] |= singles & -singles
+                singles &= singles - 1
+    return masks
 
 
 def _search_worker(adj, parts, order, depth, prefixes, tasks, out, counter, limit):
@@ -144,31 +275,38 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 
     Returns a free coloring if one exists, the "arrows" verdict after the
     pruned search space is exhausted, or "undecided" once `budget` search
-    nodes have been expanded (budget None means unlimited).  With jobs > 1
-    the top of the search tree is split across worker processes; the
-    verdict never depends on jobs, though which free coloring is found may.
+    nodes have been expanded (budget None means unlimited).  A join is
+    decided part by part in this process, every part search drawing on the
+    one budget.  With jobs > 1 the top of a co-connected graph's search tree
+    is split across worker processes; the verdict never depends on jobs,
+    though which free coloring is found may.
     """
-    sig = as_signature(sig)
+    return _decide(g, as_signature(sig), _co_components(g.adj), budget, jobs)
+
+
+def _decide(g: Graph, sig: Signature, blocks: list[int],
+            budget: int | None, jobs: int) -> SearchResult:
+    """Decide g as the join of the vertex masks `blocks`: a lone co-connected
+    block is split across `jobs` worker processes when jobs > 1; anything
+    else is decided block by block in this process."""
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    # The search itself settles the empty signature and the empty graph.
     parts = sig.parts
     if parts and not _mask_has_clique(g.adj, (1 << g.n) - 1, sig.p):
         # No p-clique: the widest class can hold every vertex.
         return SearchResult(FREE, tuple([len(parts) - 1] * g.n), 0)
-    order = _vertex_order(g)
-    if jobs == 1 or g.n < 2:
-        bud = _Budget(budget)
-        masks = [0] * len(parts)
-        res = _extend(g.adj, parts, order, 0, masks, bud)
-        if res == _FOUND:
-            return SearchResult(FREE, _coloring_from_masks(masks, g.n), bud.nodes)
-        if res == _OUT_OF_BUDGET:
-            return SearchResult(UNDECIDED, None, bud.nodes)
+    if jobs > 1 and len(blocks) == 1 and blocks[0] & (blocks[0] - 1):
+        return _parallel_search(g, parts, _vertex_order(g.adj, blocks[0]), budget, jobs)
+    bud = _Budget(budget)
+    try:
+        masks = _join_coloring(g.adj, parts, blocks, bud)
+    except _OutOfBudget:
+        return SearchResult(UNDECIDED, None, bud.nodes)
+    if masks is None:
         return SearchResult(ARROWS, None, bud.nodes)
-    return _parallel_search(g, parts, order, budget, jobs)
+    return SearchResult(FREE, _coloring_from_masks(masks, g.n), bud.nodes)
 
 
 def _parallel_search(g: Graph, parts: tuple[int, ...], order: list[int],
@@ -243,7 +381,10 @@ def _parallel_search(g: Graph, parts: tuple[int, ...], order: list[int],
 def arrows(g: Graph, sig: Signature | Iterable[int],
            budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> bool:
     """True iff g arrows the signature.  Undecided surfaces as an error."""
-    result = find_free_coloring(g, sig, budget=budget, jobs=jobs)
+    return _arrows(find_free_coloring(g, sig, budget=budget, jobs=jobs), budget)
+
+
+def _arrows(result: SearchResult, budget: int | None) -> bool:
     if result.verdict == UNDECIDED:
         raise BudgetExceededError(
             f"arrowing search undecided after {result.nodes} nodes (budget {budget})")
@@ -271,6 +412,10 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     agree everywhere except (possibly) at `position`, the join must arrow
     the merged signature carrying the sum of the two caps at that position.
     The composition law guarantees True; a False return means the engine
-    itself is broken, so callers should treat it as fatal.
+    itself is broken, so callers should treat it as fatal.  The join is
+    searched as one part, so the law is checked against a flat search
+    rather than decided by itself.
     """
-    return arrows(join(g1, g2), merge_at(sig1, sig2, position), budget=budget, jobs=jobs)
+    g = join(g1, g2)
+    return _arrows(_decide(g, merge_at(sig1, sig2, position), [(1 << g.n) - 1],
+                           budget, jobs), budget)

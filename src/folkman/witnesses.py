@@ -3,8 +3,8 @@ H(a1,...,ar;q) proves an upper bound on F(a1,...,ar;q).
 
 Construction families are treated as hypotheses: a certificate is only
 marked verified after the arrowing engine has exhaustively confirmed it (or,
-for joins of verified witnesses, by the composition law, which is sound
-without a re-search).  Refutations carry concrete evidence.
+for joins of witnesses the engine rechecks, by the composition law, which
+is sound without searching the join).  Refutations carry concrete evidence.
 """
 
 from __future__ import annotations
@@ -94,17 +94,25 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
 
     The signatures must agree everywhere except (possibly) at `position`;
     the join witnesses the signature carrying the sum of the two caps
-    there, at clique cap cl(g1) + cl(g2) + 1.  Soundness rests on the
-    composition law alone (`verify_composition_instance` is its engine
-    check); an operand with a clique at its own cap q is rejected.
+    there, at clique cap cl(g1) + cl(g2) + 1.  A "verified" status may come
+    from a file, so each operand's claim is rechecked first: an operand with
+    a clique at its own cap q, or one the engine does not find arrowing its
+    signature within DEFAULT_BUDGET, is rejected.  The join itself rests on
+    the composition law (`verify_composition_instance` is its engine check).
     """
     q = 1
     for c in (c1, c2):
         if c.status != VERIFIED:
             raise ValueError(f"can only compose verified certificates, got {c.status}")
+        claim = f"the certificate for F({c.signature};{c.q}) ({c.construction})"
         omega = clique_number(c.graph)
         if omega >= c.q:
-            raise ValueError(f"a {omega}-clique refutes the certificate for F({c.signature};{c.q})")
+            raise ValueError(f"a {omega}-clique refutes {claim}")
+        result = find_free_coloring(c.graph, c.signature)
+        if result.verdict == FREE:
+            raise ValueError(f"a free coloring refutes {claim}")
+        if result.verdict != ARROWS:
+            raise ValueError(f"{claim} is undecided after {result.nodes} nodes")
         q += omega
     merged = merge_at(c1.signature, c2.signature, position)
     if not folkman_exists(merged, q):

@@ -129,6 +129,25 @@ def test_verify_composition_instance_examples():
         verify_composition_instance(complete(3), [2, 3], complete(3), [2, 3, 3], 0)
 
 
+def test_the_law_check_searches_the_join_whole(monkeypatch):
+    # find_free_coloring decides a join part by part; the law check must not
+    # lean on that law, so it searches all ten vertices as one part.
+    searched = []
+    real = arrowing._extend
+
+    def spy(adj, parts, order, pos, *rest):
+        if pos == 0:
+            searched.append(len(order))
+        return real(adj, parts, order, pos, *rest)
+
+    monkeypatch.setattr(arrowing, "_extend", spy)
+    assert verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1)
+    assert searched == [10]
+    searched.clear()
+    assert arrows(join(cycle(5), cycle(5)), [2, 4])
+    assert searched and set(searched) == {5}
+
+
 def test_oracle_equivalence_small():
     rng = random.Random(1001)
     sigs = signatures_up_to(3, 6)
@@ -179,28 +198,50 @@ def test_chromatic_correspondence():
         assert arrows(g, [2] * r) == (not properly_colorable(g, r))
 
 
-def test_jobs_do_not_change_verdicts():
+def test_jobs_do_not_change_verdicts(monkeypatch):
+    # Co-connected graphs whose clique number reaches p: each call reaches
+    # the worker processes.
     cases = [
-        (join(cycle(5), cycle(5)), [2, 4]),
-        (complete(6), [3, 3]),
-        (join(complete(1), cycle(5)), [2, 2, 2]),
+        (cycle(5), [2, 2]),
         (cycle(7), [2, 2]),
         (P4, [2, 2]),
+        (complement(cycle(7)), [3, 3]),
+        (complement(cycle(9)), [3, 3, 3]),
+        (_mycielskian(cycle(5)), [2, 2, 2]),
     ]
+    calls = []
+    real = arrowing._parallel_search
+    monkeypatch.setattr(arrowing, "_parallel_search",
+                        lambda *args: calls.append(args[0]) or real(*args))
     for g, sig in cases:
         seq = find_free_coloring(g, sig, jobs=1)
         par = find_free_coloring(g, sig, jobs=2)
         assert seq.verdict == par.verdict
         if par.verdict == FREE:
             assert coloring_is_free(g, tuple(sorted(sig)), par.coloring)
+    assert calls == [g for g, _ in cases]
+
+
+def test_a_join_starts_no_process(monkeypatch):
+    def no_start(self):
+        raise AssertionError("a join is decided in this process")
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
+    witness = join(complete(3), complement(cycle(9)))  # stock (3,3,4) witness
+    cases = [(witness, [3, 3, 4]), (witness, [3, 4, 4]),
+             (join(cycle(5), cycle(5)), [2, 4]), (join(cycle(5), cycle(5)), [3, 4]),
+             (complete(6), [3, 3]), (join(complete(1), cycle(5)), [2, 2, 2])]
+    for g, sig in cases:
+        assert find_free_coloring(g, sig, jobs=2) == find_free_coloring(g, sig, jobs=1)
+    assert multiprocessing.active_children() == []
 
 
 def test_no_worker_outlives_a_parallel_free_search():
-    # The (3,3,4) stock witness on 12 vertices is (3,4,4)-free.
-    g = join(complete(3), complement(cycle(9)))
-    result = find_free_coloring(g, [3, 4, 4], jobs=2)
+    # co-C9 is co-connected with clique number 4: (3,3,3)-free, but only by search.
+    g = complement(cycle(9))
+    result = find_free_coloring(g, [3, 3, 3], jobs=2)
     assert result.verdict == FREE
-    assert coloring_is_free(g, (3, 4, 4), result.coloring)
+    assert coloring_is_free(g, (3, 3, 3), result.coloring)
     assert multiprocessing.active_children() == []
 
 
@@ -211,13 +252,14 @@ def test_a_worker_that_dies_is_not_read_as_arrows(monkeypatch):
     # search to claim that the unsearched part of the tree arrows.
     monkeypatch.setattr(arrowing, "_search_worker", lambda *args: None)
     with pytest.raises(RuntimeError):
-        find_free_coloring(join(cycle(5), cycle(5)), [2, 4], jobs=2)
+        find_free_coloring(cycle(7), [2, 2], jobs=2)
     assert multiprocessing.active_children() == []
 
 
 def test_nodes_are_counted():
-    result = find_free_coloring(complete(5), [3, 3])
-    assert result.nodes > 0
+    assert find_free_coloring(cycle(5), [2, 2]).nodes > 0
+    # K5 is five singleton co-components: the K_k closed form settles it.
+    assert find_free_coloring(complete(5), [3, 3]) == SearchResult(ARROWS, None, 0)
 
 
 def test_color_classes_helper():

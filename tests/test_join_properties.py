@@ -1,0 +1,87 @@
+"""Property tests: the part-by-part decision of joins against the naive
+oracle, on joins of small random graphs."""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import example, given, settings, strategies as st
+
+from folkman.arrowing import ARROWS, FREE, find_free_coloring
+from folkman.graphs import Graph, complement, complete, from_edges, join
+from folkman.signatures import normalize
+
+from conftest import coloring_is_free, naive_find_free
+
+MAX_N = 8
+PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
+
+# Raw signatures of up to three colors; all ones normalizes to the empty one.
+raw_signatures = st.lists(st.integers(1, 4), min_size=1, max_size=3)
+
+
+@st.composite
+def graphs(draw, min_n: int = 0, max_n: int = 4) -> Graph:
+    n = draw(st.integers(min_n, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    return from_edges(n, [e for e in pairs if draw(st.booleans())])
+
+
+@st.composite
+def co_connected_graphs(draw, min_n: int = 2, max_n: int = 4) -> Graph:
+    """The complement of a connected graph: one co-component, never a singleton."""
+    n = draw(st.integers(min_n, max_n))
+    tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    return complement(from_edges(n, set(tree) | set(extra)))
+
+
+def joins(operands) -> st.SearchStrategy[Graph]:
+    def join_all(gs):
+        out = gs[0]
+        for g in gs[1:]:
+            out = join(out, g)
+        return out
+
+    return (st.lists(operands, min_size=2, max_size=3)
+            .filter(lambda gs: sum(g.n for g in gs) <= MAX_N).map(join_all))
+
+
+def _agrees_with_the_oracle(g: Graph, raw) -> None:
+    sig = normalize(raw)
+    result = find_free_coloring(g, sig)
+    assert result.verdict == (ARROWS if naive_find_free(g, sig.parts) is None else FREE)
+    if result.verdict == FREE:
+        assert coloring_is_free(g, sig.parts, result.coloring)
+
+
+@PROPERTY
+@given(joins(graphs()), raw_signatures)
+@example(complete(0), [1])
+@example(complete(0), [2, 3])
+@example(join(complete(2), complete(0)), [1, 1])
+def test_joins_of_random_graphs(g, raw):
+    _agrees_with_the_oracle(g, raw)
+
+
+@PROPERTY
+@given(joins(co_connected_graphs()), raw_signatures)
+def test_joins_of_several_co_connected_parts(g, raw):
+    _agrees_with_the_oracle(g, raw)
+
+
+@PROPERTY
+@given(joins(st.one_of(co_connected_graphs(), st.integers(1, 3).map(complete))),
+       raw_signatures)
+def test_joins_with_singleton_parts(g, raw):
+    _agrees_with_the_oracle(g, raw)
+
+
+@PROPERTY
+@given(st.integers(0, MAX_N), raw_signatures)
+def test_complete_graphs(k, raw):
+    # K_k is k singleton co-components, settled by the closed form.
+    _agrees_with_the_oracle(complete(k), raw)
+    sig = normalize(raw)
+    expected = FREE if sum(a - 1 for a in sig.parts) >= k else ARROWS
+    result = find_free_coloring(complete(k), sig)
+    assert (result.verdict, result.nodes) == (expected, 0)

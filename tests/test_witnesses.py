@@ -3,7 +3,7 @@ import random
 import pytest
 
 from folkman import graphs, witnesses
-from folkman.arrowing import arrows, verify_composition_instance
+from folkman.arrowing import UNDECIDED, SearchResult, arrows, verify_composition_instance
 from folkman.bounds import KnownTable
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
@@ -114,6 +114,25 @@ def test_compose_rejects_a_forged_verified_operand():
     good = base_witness([2, 2], 3)
     with pytest.raises(ValueError, match="4-clique refutes"):
         compose_witness(good, forged, 1)
+
+
+def test_compose_rechecks_each_operand_arrows(monkeypatch):
+    # C6 has no triangle, so its clique passes; being bipartite, it has a
+    # (2,2)-free coloring, so the "verified" claim is false.
+    forged = parse_certificate(
+        "folkman-witness v1\n"
+        f"graph6: {serialize_graph6(cycle(6))}\n"
+        "signature: 2,2\nq: 3\nstatus: verified\nconstruction: hand-written C6\n")
+    assert forged.status == VERIFIED
+    good = base_witness([2, 2], 3)
+    pattern = "a free coloring refutes the certificate for F\\(2,2;3\\) \\(hand-written C6\\)"
+    for c1, c2 in ((forged, forged), (good, forged), (forged, good)):
+        with pytest.raises(ValueError, match=pattern):
+            compose_witness(c1, c2, 1)
+    monkeypatch.setattr(witnesses, "find_free_coloring",
+                        lambda graph, sig: SearchResult(UNDECIDED, None, 7))
+    with pytest.raises(ValueError, match="F\\(2,2;3\\).* is undecided after 7 nodes"):
+        compose_witness(good, good, 1)
 
 
 def test_compose_two_boundary_witnesses():
