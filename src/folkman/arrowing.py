@@ -8,7 +8,7 @@ class's clique number is the sum of its clique numbers in the parts.  The
 singleton co-components form one K_k, which fits a room of r_i per class iff
 the rooms sum to at least k; every other part is decided on its own, under
 each way of sharing the room that can matter.  A co-connected graph is one
-part, searched whole.
+part, searched whole.  Every search runs in the calling process.
 
 A part's search assigns colors vertex by vertex (descending degree order),
 prunes a branch as soon as a class would acquire its forbidden clique, and
@@ -20,10 +20,8 @@ make "undecided" a first-class outcome rather than an open-ended run.
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from multiprocessing.connection import wait
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import Graph, _mask_has_clique, has_clique, join
 from .signatures import Signature, as_signature, merge_at
@@ -35,9 +33,6 @@ FREE = "free-coloring"
 UNDECIDED = "undecided"
 
 _FOUND, _EXHAUSTED, _OUT_OF_BUDGET = 0, 1, 2
-# Worker limit standing in for an unlimited budget: never reached.
-_NO_LIMIT = 2**62
-_SYNC = 2048
 
 
 class BudgetExceededError(RuntimeError):
@@ -70,36 +65,22 @@ def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:
 
 
 class _Budget:
-    __slots__ = ("nodes", "limit", "shared")
+    __slots__ = ("nodes", "limit")
 
-    def __init__(self, limit: int | None, shared=None):
+    def __init__(self, limit: int | None):
         self.nodes = 0
         self.limit = limit
-        self.shared = shared
 
     def spend(self) -> bool:
         """Count one node; True means the budget is exhausted."""
         self.nodes += 1
-        if self.shared is not None:
-            # A worker adds its nodes to the shared count _SYNC at a time.
-            if self.nodes % _SYNC:
-                return False
-            with self.shared.get_lock():
-                self.shared.value += _SYNC
-                return self.shared.value > self.limit
         return self.limit is not None and self.nodes > self.limit
 
 
-def _found(masks: list[int]) -> int:
-    """Default leaf of `_extend`: a full assignment is a free coloring."""
-    return _FOUND
-
-
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget,
-            leaf: Callable[[list[int]], int] = _found) -> int:
+            pos: int, masks: list[int], budget: _Budget) -> int:
     if pos == len(order):
-        return leaf(masks)
+        return _FOUND
     v = order[pos]
     vbit = 1 << v
     nbrs = adj[v]
@@ -113,7 +94,7 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
         if _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        res = _extend(adj, parts, order, pos + 1, masks, budget, leaf)
+        res = _extend(adj, parts, order, pos + 1, masks, budget)
         if res != _EXHAUSTED:
             return res  # keep masks intact: on _FOUND they hold the coloring
         masks[c] &= ~vbit
@@ -257,18 +238,6 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     return masks
 
 
-def _search_worker(adj, parts, order, depth, prefixes, tasks, out, counter, limit):
-    """Search the subtrees whose prefix indices `tasks` hands out, sending one
-    (result, coloring, nodes) per subtree down `out`; stop at a None or once
-    the shared count has passed `limit`."""
-    while (i := tasks.get()) is not None and counter.value <= limit:
-        budget = _Budget(limit, shared=counter)
-        masks = list(prefixes[i])
-        res = _extend(adj, parts, order, depth, masks, budget)
-        coloring = _coloring_from_masks(masks, len(adj)) if res == _FOUND else None
-        out.send((res, coloring, budget.nodes))
-
-
 def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
                        budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> SearchResult:
     """Search for an (a1, ..., ar)-free coloring of g.
@@ -276,29 +245,29 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
     Returns a free coloring if one exists, the "arrows" verdict after the
     pruned search space is exhausted, or "undecided" once `budget` search
     nodes have been expanded (budget None means unlimited).  A join is
-    decided part by part in this process, every part search drawing on the
-    one budget.  With jobs > 1 the top of a co-connected graph's search tree
-    is split across worker processes; the verdict never depends on jobs,
-    though which free coloring is found may.
+    decided part by part, every part search drawing on the one budget.
+    `jobs` has no effect: every search runs in this process.  It is kept
+    for compatibility and must be >= 1.
     """
-    return _decide(g, as_signature(sig), _co_components(g.adj), budget, jobs)
+    _check_jobs(jobs)
+    return _decide(g, as_signature(sig), _co_components(g.adj), budget)
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
 
 
 def _decide(g: Graph, sig: Signature, blocks: list[int],
-            budget: int | None, jobs: int) -> SearchResult:
-    """Decide g as the join of the vertex masks `blocks`: a lone co-connected
-    block is split across `jobs` worker processes when jobs > 1; anything
-    else is decided block by block in this process."""
+            budget: int | None) -> SearchResult:
+    """Decide g as the join of the vertex masks `blocks`, block by block:
+    a lone block, such as a co-connected graph, is searched whole."""
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     parts = sig.parts
     if parts and not _mask_has_clique(g.adj, (1 << g.n) - 1, sig.p):
         # No p-clique: the widest class can hold every vertex.
         return SearchResult(FREE, tuple([len(parts) - 1] * g.n), 0)
-    if jobs > 1 and len(blocks) == 1 and blocks[0] & (blocks[0] - 1):
-        return _parallel_search(g, parts, _vertex_order(g.adj, blocks[0]), budget, jobs)
     bud = _Budget(budget)
     try:
         masks = _join_coloring(g.adj, parts, blocks, bud)
@@ -307,75 +276,6 @@ def _decide(g: Graph, sig: Signature, blocks: list[int],
     if masks is None:
         return SearchResult(ARROWS, None, bud.nodes)
     return SearchResult(FREE, _coloring_from_masks(masks, g.n), bud.nodes)
-
-
-def _parallel_search(g: Graph, parts: tuple[int, ...], order: list[int],
-                     budget: int | None, jobs: int) -> SearchResult:
-    bud = _Budget(budget)
-    prefixes: list[tuple[int, ...]] = []
-
-    def collect(masks: list[int]) -> int:
-        prefixes.append(tuple(masks))
-        return _EXHAUSTED
-
-    for depth in range(1, min(g.n, 6) + 1):
-        prefixes.clear()
-        if _extend(g.adj, parts, order[:depth], 0, [0] * len(parts), bud,
-                   collect) == _OUT_OF_BUDGET:
-            return SearchResult(UNDECIDED, None, bud.nodes)
-        if len(prefixes) >= 3 * jobs:
-            break
-    if not prefixes:
-        return SearchResult(ARROWS, None, bud.nodes)
-    # Workers stop once the shared count passes `limit`; pushing it past is
-    # also how the search stops them when it returns early.
-    limit = _NO_LIMIT if budget is None else budget - bud.nodes
-    methods = multiprocessing.get_all_start_methods()
-    ctx = multiprocessing.get_context("fork" if "fork" in methods else None)
-    counter = ctx.Value("q", 0)
-    # Workers take prefix indices from `tasks` and each sends its results down
-    # its own pipe, whose end of file says that the worker has exited.
-    tasks = ctx.SimpleQueue()
-    readers, procs = [], []
-    total_nodes, reported = bud.nodes, 0
-    verdict = ARROWS
-    coloring = None
-    try:
-        for _ in range(jobs):
-            reader, writer = ctx.Pipe(duplex=False)
-            procs.append(ctx.Process(target=_search_worker, daemon=True, args=(
-                g.adj, parts, order, depth, prefixes, tasks, writer, counter, limit)))
-            procs[-1].start()
-            writer.close()
-            readers.append(reader)
-        for i in [*range(len(prefixes)), *[None] * jobs]:
-            tasks.put(i)
-        while readers and verdict != FREE:
-            for reader in wait(readers):
-                try:
-                    res, col, nodes = reader.recv()
-                except EOFError:
-                    readers.remove(reader)
-                    continue
-                reported += 1
-                total_nodes += nodes
-                if res == _FOUND:
-                    verdict, coloring = FREE, col
-                    break
-                if res == _OUT_OF_BUDGET:
-                    verdict = UNDECIDED
-        if verdict == ARROWS and reported < len(prefixes):
-            raise RuntimeError("a search worker exited before finishing its subtrees")
-    except BaseException:
-        for proc in procs:
-            proc.terminate()
-        raise
-    finally:
-        with counter.get_lock():
-            counter.value = limit + 1
-        for proc in procs:
-            proc.join()
-    return SearchResult(verdict, coloring, total_nodes)
 
 
 def arrows(g: Graph, sig: Signature | Iterable[int],
@@ -414,8 +314,10 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     The composition law guarantees True; a False return means the engine
     itself is broken, so callers should treat it as fatal.  The join is
     searched as one part, so the law is checked against a flat search
-    rather than decided by itself.
+    rather than decided by itself.  `jobs` has no effect, as in
+    `find_free_coloring`.
     """
+    _check_jobs(jobs)
     g = join(g1, g2)
     return _arrows(_decide(g, merge_at(sig1, sig2, position), [(1 << g.n) - 1],
-                           budget, jobs), budget)
+                           budget), budget)

@@ -66,13 +66,16 @@ class BoundRecord:
 
 @dataclass(frozen=True)
 class KnownValue:
-    """One known-values table entry; signature stored normalized."""
+    """One known-values table entry; signature stored normalized.  `source`
+    says where the entry was read, as ``file:line``, when it came from a file.
+    """
 
     signature: Signature
     q: int
     lower: int | None
     upper: int | None
     citation: str
+    source: str = field(default="", compare=False)
 
     def __post_init__(self):
         if self.lower is None and self.upper is None:
@@ -90,7 +93,21 @@ class KnownTable:
             self.add(entry)
 
     def add(self, entry: KnownValue) -> None:
-        self._by_key.setdefault((entry.signature.parts, entry.q), []).append(entry)
+        """Add an entry; one whose bounds contradict an entry already in the
+        table for the same (sig, q) is rejected, naming both."""
+        group = self._by_key.setdefault((entry.signature.parts, entry.q), [])
+        for old in group:
+            if entry.lower is not None and old.upper is not None and entry.lower > old.upper:
+                clash = f"lower {entry.lower} > upper {old.upper}"
+            elif entry.upper is not None and old.lower is not None and entry.upper < old.lower:
+                clash = f"upper {entry.upper} < lower {old.lower}"
+            else:
+                continue
+            where = f"{entry.source}: " if entry.source else ""
+            at = f" at {old.source}" if old.source else ""
+            raise ValueError(f"{where}F({entry.signature};{entry.q}): {clash} "
+                             f"of {old.citation!r}{at}")
+        group.append(entry)
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
@@ -130,7 +147,7 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
         try:
-            entry = KnownValue(sig, q, lower, upper, citation.strip())
+            entry = KnownValue(sig, q, lower, upper, citation.strip(), f"{source}:{lineno}")
             if not folkman_exists(sig, q):
                 raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
             base_bounds(sig, q, KnownTable([entry]))  # raises if the exact rules disagree

@@ -26,6 +26,8 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
+_JOBS_HELP = "accepted for compatibility, no effect: the search runs in one process"
+
 _FORMAT_NAMES = {"g6": "graph6", "graph6": "graph6", "el": "edge-list", "edge-list": "edge-list"}
 
 
@@ -214,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arrow.add_argument("--sig", required=True, help="comma-separated signature, e.g. 2,2")
     p_arrow.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="search-node budget (0 = unlimited; default 1e8)")
-    p_arrow.add_argument("--jobs", type=int, default=1, help="worker processes for the search")
+    p_arrow.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_arrow.add_argument("--format", choices=sorted(_FORMAT_NAMES),
                          help="override the format inferred from the extension")
     add_common(p_arrow)
@@ -239,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--out", help="write the certificate record to this file")
     p_witness.add_argument("--verify-budget", type=int, default=DEFAULT_BUDGET,
                            help="search-node budget for verification (0 = unlimited)")
-    p_witness.add_argument("--jobs", type=int, default=1)
+    p_witness.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p_witness)
     p_witness.set_defaults(handler=_cmd_witness)
 
@@ -248,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sig", required=True)
     p_verify.add_argument("--q", type=int, required=True)
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=sorted(_FORMAT_NAMES))
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
+from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, _check_jobs, color_classes, find_free_coloring
 from .bounds import KnownTable, KnownValue, folkman_exists
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import Graph, clique_number, complement, complete, cycle, has_clique, join, max_clique
@@ -49,13 +49,13 @@ class WitnessCertificate:
 
 
 def _check(graph: Graph, sig: Signature, q: int, construction: str,
-           budget: int | None, jobs: int) -> WitnessCertificate:
+           budget: int | None) -> WitnessCertificate:
     """Decide the claim graph in H(sig; q): a clique of q vertices refutes it
     outright, else the engine decides arrowing within budget."""
     clique = max_clique(graph)
     if len(clique) >= q:
         return WitnessCertificate(graph, sig, q, REFUTED, construction, clique=tuple(clique))
-    result = find_free_coloring(graph, sig, budget=budget, jobs=jobs)
+    result = find_free_coloring(graph, sig, budget=budget)
     status = {ARROWS: VERIFIED, FREE: REFUTED}.get(result.verdict, UNVERIFIED)
     return WitnessCertificate(graph, sig, q, status, construction,
                               free_coloring=result.coloring, nodes=result.nodes)
@@ -72,7 +72,9 @@ def base_witness(sig: Signature | Iterable[int], q: int,
     m-1; it is never trusted, only certified after the engine confirms it
     exhaustively.  `budget` alone bounds that search: the certificate stays
     unverified when the budget runs out.  No construction is known for q < m.
+    `jobs` has no effect (see `find_free_coloring`) and must be >= 1.
     """
+    _check_jobs(jobs)
     sig = as_signature(sig)
     if sig.is_empty:
         raise ValueError("no witness family for the empty signature")
@@ -85,7 +87,23 @@ def base_witness(sig: Signature | Iterable[int], q: int,
         raise ValueError(f"no base construction known for q={q} < m={m}")
     graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))
     construction = f"join(complete({m - p - 1}), complement(cycle({2 * p + 1})))"
-    return _check(graph, sig, q, construction, budget, jobs)
+    return _check(graph, sig, q, construction, budget)
+
+
+def _recheck_operand(c: WitnessCertificate) -> int:
+    """Recheck a "verified" operand's claim and return its clique number."""
+    if c.status != VERIFIED:
+        raise ValueError(f"can only compose verified certificates, got {c.status}")
+    claim = f"the certificate for F({c.signature};{c.q}) ({c.construction})"
+    omega = clique_number(c.graph)
+    if omega >= c.q:
+        raise ValueError(f"a {omega}-clique refutes {claim}")
+    result = find_free_coloring(c.graph, c.signature)
+    if result.verdict == FREE:
+        raise ValueError(f"a free coloring refutes {claim}")
+    if result.verdict != ARROWS:
+        raise ValueError(f"{claim} is undecided after {result.nodes} nodes")
+    return omega
 
 
 def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
@@ -95,25 +113,14 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
     The signatures must agree everywhere except (possibly) at `position`;
     the join witnesses the signature carrying the sum of the two caps
     there, at clique cap cl(g1) + cl(g2) + 1.  A "verified" status may come
-    from a file, so each operand's claim is rechecked first: an operand with
-    a clique at its own cap q, or one the engine does not find arrowing its
-    signature within DEFAULT_BUDGET, is rejected.  The join itself rests on
-    the composition law (`verify_composition_instance` is its engine check).
+    from a file, so each operand's claim is rechecked first, once for a
+    self-join: an operand with a clique at its own cap q, or one the engine
+    does not find arrowing its signature within DEFAULT_BUDGET, is rejected.
+    The join itself rests on the composition law
+    (`verify_composition_instance` is its engine check).
     """
-    q = 1
-    for c in (c1, c2):
-        if c.status != VERIFIED:
-            raise ValueError(f"can only compose verified certificates, got {c.status}")
-        claim = f"the certificate for F({c.signature};{c.q}) ({c.construction})"
-        omega = clique_number(c.graph)
-        if omega >= c.q:
-            raise ValueError(f"a {omega}-clique refutes {claim}")
-        result = find_free_coloring(c.graph, c.signature)
-        if result.verdict == FREE:
-            raise ValueError(f"a free coloring refutes {claim}")
-        if result.verdict != ARROWS:
-            raise ValueError(f"{claim} is undecided after {result.nodes} nodes")
-        q += omega
+    omega1 = _recheck_operand(c1)
+    q = omega1 + (omega1 if c2 is c1 else _recheck_operand(c2)) + 1
     merged = merge_at(c1.signature, c2.signature, position)
     if not folkman_exists(merged, q):
         raise ValueError(f"composed clique cap {q} does not exceed max part {merged.p}")
@@ -129,15 +136,17 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
     The clique number is checked exactly (a too-large clique refutes the
     claim with the clique as evidence), then arrowing is decided within
     budget.  A verified witness is registered in `table` when one is given,
-    cited as coming from the file.
+    cited as coming from the file.  `jobs` has no effect (see
+    `find_free_coloring`) and must be >= 1.
     """
+    _check_jobs(jobs)
     sig = as_signature(sig)
     if sig.is_empty:
         raise ValueError("external witnesses need a nonempty signature")
     if q < 1:
         raise ValueError("clique cap q must be >= 1")
     graph = read_graph_file(path, fmt)
-    cert = _check(graph, sig, q, f"external file {path}", budget, jobs)
+    cert = _check(graph, sig, q, f"external file {path}", budget)
     if cert.status == VERIFIED and table is not None:
         table.add(KnownValue(sig, q, None, graph.n, citation=cert.construction))
     return cert

@@ -198,61 +198,24 @@ def test_chromatic_correspondence():
         assert arrows(g, [2] * r) == (not properly_colorable(g, r))
 
 
-def test_jobs_do_not_change_verdicts(monkeypatch):
-    # Co-connected graphs whose clique number reaches p: each call reaches
-    # the worker processes.
-    cases = [
-        (cycle(5), [2, 2]),
-        (cycle(7), [2, 2]),
-        (P4, [2, 2]),
-        (complement(cycle(7)), [3, 3]),
-        (complement(cycle(9)), [3, 3, 3]),
-        (_mycielskian(cycle(5)), [2, 2, 2]),
-    ]
-    calls = []
-    real = arrowing._parallel_search
-    monkeypatch.setattr(arrowing, "_parallel_search",
-                        lambda *args: calls.append(args[0]) or real(*args))
-    for g, sig in cases:
-        seq = find_free_coloring(g, sig, jobs=1)
-        par = find_free_coloring(g, sig, jobs=2)
-        assert seq.verdict == par.verdict
-        if par.verdict == FREE:
-            assert coloring_is_free(g, tuple(sorted(sig)), par.coloring)
-    assert calls == [g for g, _ in cases]
-
-
 def test_a_join_starts_no_process(monkeypatch):
     def no_start(self):
-        raise AssertionError("a join is decided in this process")
+        raise AssertionError("every search runs in this process")
 
     monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_start)
     witness = join(complete(3), complement(cycle(9)))  # stock (3,3,4) witness
+    # Joins, then co-connected graphs whose clique number reaches p.
     cases = [(witness, [3, 3, 4]), (witness, [3, 4, 4]),
              (join(cycle(5), cycle(5)), [2, 4]), (join(cycle(5), cycle(5)), [3, 4]),
-             (complete(6), [3, 3]), (join(complete(1), cycle(5)), [2, 2, 2])]
+             (complete(6), [3, 3]), (join(complete(1), cycle(5)), [2, 2, 2]),
+             (cycle(5), [2, 2]), (cycle(7), [2, 2]), (P4, [2, 2]),
+             (complement(cycle(7)), [3, 3]), (complement(cycle(9)), [3, 3, 3]),
+             (_mycielskian(cycle(5)), [2, 2, 2])]
     for g, sig in cases:
-        assert find_free_coloring(g, sig, jobs=2) == find_free_coloring(g, sig, jobs=1)
-    assert multiprocessing.active_children() == []
-
-
-def test_no_worker_outlives_a_parallel_free_search():
-    # co-C9 is co-connected with clique number 4: (3,3,3)-free, but only by search.
-    g = complement(cycle(9))
-    result = find_free_coloring(g, [3, 3, 3], jobs=2)
-    assert result.verdict == FREE
-    assert coloring_is_free(g, (3, 3, 3), result.coloring)
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                    reason="the stand-in worker must reach the child by fork")
-def test_a_worker_that_dies_is_not_read_as_arrows(monkeypatch):
-    # A worker that exits without reporting its subtrees must not leave the
-    # search to claim that the unsearched part of the tree arrows.
-    monkeypatch.setattr(arrowing, "_search_worker", lambda *args: None)
-    with pytest.raises(RuntimeError):
-        find_free_coloring(cycle(7), [2, 2], jobs=2)
+        result = find_free_coloring(g, sig, jobs=1)
+        assert find_free_coloring(g, sig, jobs=2) == result
+        if result.verdict == FREE:
+            assert coloring_is_free(g, tuple(sorted(sig)), result.coloring)
     assert multiprocessing.active_children() == []
 
 

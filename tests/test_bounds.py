@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from folkman.bounds import (RULE_EXISTS_FAIL, RULE_KNOWN_TABLE, RULE_MONOTONE,
@@ -322,6 +324,27 @@ def test_parse_known_values_errors_carry_line_numbers():
         parse_known_values("3,4;8;7;7;q > m makes F exactly m = 6\n")
     with pytest.raises(ValueError, match=":1: inconsistent bounds"):
         parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n")
+
+
+def test_contradicting_table_entries_are_rejected_when_added(tmp_path, monkeypatch):
+    # Each line passes the rules alone; together they leave no value.
+    text = "2,2,6;7;20;-;first\n2,2,6;7;-;18;second\n"
+    with pytest.raises(ValueError, match="f.txt:2: F\\(2,2,6;7\\): upper 18 < lower 20 "
+                                         "of 'first' at f.txt:1"):
+        KnownTable(parse_known_values(text, source="f.txt"))
+    extra = tmp_path / "extra.txt"
+    extra.write_text("# a lower above the cited exact value\n3,4;5;15;-;bogus\n")
+    with pytest.raises(ValueError, match=re.escape(f"{extra}:2: F(3,4;5): lower 15 > upper 13 "
+                                                   "of 'ref [6]' at bundled known_values.txt:")):
+        default_table(extra_path=extra)
+    monkeypatch.setenv("FOLKMAN_TABLE", str(extra))
+    with pytest.raises(ValueError, match="extra.txt:2: .*'ref \\[6\\]'"):
+        default_table()
+    table = KnownTable([KnownValue(normalize([3, 4]), 5, 13, 13, "a")])
+    with pytest.raises(ValueError, match="^F\\(3,4;5\\): upper 12 < lower 13 of 'a'$"):
+        table.add(KnownValue(normalize([3, 4]), 5, None, 12, "b"))
+    table.add(KnownValue(normalize([3, 4]), 5, None, 13, "c"))  # agreeing entries stay
+    assert table.combined(normalize([3, 4]), 5) == (13, 13, ["a", "c"])
 
 
 def test_table_combines_tightest():

@@ -225,3 +225,11 @@ def test_module_entry_point(c5_path):
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "arrows: true" in proc.stdout
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    src = str(Path(folkman.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, folkman.cli; assert 'multiprocessing' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -135,6 +135,27 @@ def test_compose_rechecks_each_operand_arrows(monkeypatch):
         compose_witness(good, good, 1)
 
 
+def test_compose_rechecks_a_self_join_operand_once(monkeypatch):
+    c = base_witness([2, 2], 3)
+    other = base_witness([2, 2], 3)
+    searched = []
+    real = witnesses.find_free_coloring
+    monkeypatch.setattr(witnesses, "find_free_coloring",
+                        lambda graph, sig: searched.append(graph.n) or real(graph, sig))
+    assert compose_witness(c, c, 1) == compose_witness(c, other, 1)
+    assert searched == [5, 5, 5]  # once for (c, c), twice for (c, other)
+
+
+def test_jobs_has_no_effect_but_must_be_positive(tmp_path):
+    assert base_witness([2, 3], 4, jobs=2) == base_witness([2, 3], 4)
+    path = tmp_path / "c5.g6"
+    path.write_text(serialize_graph6(cycle(5)) + "\n")
+    for call in (lambda: base_witness([2, 3], 5, jobs=0),
+                 lambda: load_external_witness(str(path), [2, 2], 3, jobs=0)):
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            call()
+
+
 def test_compose_two_boundary_witnesses():
     # two verified (3, b; b+1)-style witnesses compose to (3, b1+b2; ...)
     w34 = base_witness([3, 4], 6)  # q = m: 10 vertices
