@@ -10,12 +10,15 @@ the rooms sum to at least k; every other part is decided on its own, under
 each way of sharing the room that can matter.  A co-connected graph is one
 part, searched whole.  Every search runs in the calling process.
 
-A part's search assigns colors vertex by vertex (descending degree order),
-prunes a branch as soon as a class would acquire its forbidden clique, and
-breaks symmetry among colors with equal caps by first-use order.  "Arrows"
-is only reported after the pruned tree is provably exhausted; a free
-coloring is returned as a concrete counterexample otherwise.  Node budgets
-make "undecided" a first-class outcome rather than an open-ended run.
+A part's search, `_extend`, assigns colors vertex by vertex (descending
+degree order), prunes a branch as soon as a class would acquire its
+forbidden clique, and breaks symmetry among colors with equal caps by
+first-use order.  "Arrows" is only reported after the pruned tree is
+provably exhausted; a free coloring is returned as a concrete
+counterexample otherwise.  Node budgets make "undecided" a first-class
+outcome rather than an open-ended run: a used-up budget raises
+BudgetExceededError out of the search, and `find_free_coloring` reports it
+as undecided.
 """
 
 from __future__ import annotations
@@ -32,11 +35,9 @@ ARROWS = "arrows"
 FREE = "free-coloring"
 UNDECIDED = "undecided"
 
-_FOUND, _EXHAUSTED, _OUT_OF_BUDGET = 0, 1, 2
-
-
 class BudgetExceededError(RuntimeError):
-    """Raised where an undecided outcome cannot be surfaced as a value."""
+    """A search used up its node budget.  `find_free_coloring` reports it as
+    "undecided"; callers that return a bool, such as `arrows`, raise it."""
 
 
 @dataclass(frozen=True)
@@ -71,16 +72,19 @@ class _Budget:
         self.nodes = 0
         self.limit = limit
 
-    def spend(self) -> bool:
-        """Count one node; True means the budget is exhausted."""
+    def spend(self) -> None:
+        """Count one node, or raise if the budget has none left."""
+        if self.nodes == self.limit:
+            raise BudgetExceededError(f"search budget of {self.limit} nodes used up")
         self.nodes += 1
-        return self.limit is not None and self.nodes > self.limit
 
 
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget) -> int:
+            pos: int, masks: list[int], budget: _Budget) -> bool:
+    """True iff order[pos:] can be placed on top of `masks`, which then hold
+    the free coloring; False once the subtree is exhausted."""
     if pos == len(order):
-        return _FOUND
+        return True
     v = order[pos]
     vbit = 1 << v
     nbrs = adj[v]
@@ -89,16 +93,14 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
         # first empty one in each group may receive its first vertex.
         if c and parts[c - 1] == cap and not masks[c - 1]:
             continue
-        if budget.spend():
-            return _OUT_OF_BUDGET
+        budget.spend()
         if _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        res = _extend(adj, parts, order, pos + 1, masks, budget)
-        if res != _EXHAUSTED:
-            return res  # keep masks intact: on _FOUND they hold the coloring
+        if _extend(adj, parts, order, pos + 1, masks, budget):
+            return True  # keep masks intact: they hold the coloring
         masks[c] &= ~vbit
-    return _EXHAUSTED
+    return False
 
 
 def _coloring_from_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
@@ -150,10 +152,6 @@ def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
             yield (x, *tail)
 
 
-class _OutOfBudget(Exception):
-    """A part's search ran out of the shared budget."""
-
-
 def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[int],
                    bud: _Budget) -> list[int] | None:
     """One mask per color of a free coloring of the join of `blocks`, or None
@@ -189,10 +187,7 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         key = (big[j], caps)
         if key not in decided:
             masks = [0] * len(caps)
-            res = _extend(adj, caps, orders[j], 0, masks, bud)
-            if res == _OUT_OF_BUDGET:
-                raise _OutOfBudget
-            decided[key] = masks if res == _FOUND else None
+            decided[key] = masks if _extend(adj, caps, orders[j], 0, masks, bud) else None
         found = decided[key]
         if found is None:
             return None
@@ -246,16 +241,14 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
     pruned search space is exhausted, or "undecided" once `budget` search
     nodes have been expanded (budget None means unlimited).  A join is
     decided part by part, every part search drawing on the one budget.
-    `jobs` has no effect: every search runs in this process.  It is kept
-    for compatibility and must be >= 1.
+
+    `jobs` has no effect: every search runs in this process.  It must be
+    >= 1, and it is kept only because the benchmark's `parallel` workload
+    passes jobs=2; it goes when ROADMAP item 4 redefines that workload.
     """
-    _check_jobs(jobs)
-    return _decide(g, as_signature(sig), _co_components(g.adj), budget)
-
-
-def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    return _decide(g, as_signature(sig), _co_components(g.adj), budget)
 
 
 def _decide(g: Graph, sig: Signature, blocks: list[int],
@@ -271,7 +264,7 @@ def _decide(g: Graph, sig: Signature, blocks: list[int],
     bud = _Budget(budget)
     try:
         masks = _join_coloring(g.adj, parts, blocks, bud)
-    except _OutOfBudget:
+    except BudgetExceededError:
         return SearchResult(UNDECIDED, None, bud.nodes)
     if masks is None:
         return SearchResult(ARROWS, None, bud.nodes)
@@ -279,9 +272,9 @@ def _decide(g: Graph, sig: Signature, blocks: list[int],
 
 
 def arrows(g: Graph, sig: Signature | Iterable[int],
-           budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> bool:
+           budget: int | None = DEFAULT_BUDGET) -> bool:
     """True iff g arrows the signature.  Undecided surfaces as an error."""
-    return _arrows(find_free_coloring(g, sig, budget=budget, jobs=jobs), budget)
+    return _arrows(find_free_coloring(g, sig, budget=budget), budget)
 
 
 def _arrows(result: SearchResult, budget: int | None) -> bool:
@@ -292,20 +285,19 @@ def _arrows(result: SearchResult, budget: int | None) -> bool:
 
 
 def in_class_H(g: Graph, sig: Signature | Iterable[int], q: int,
-               budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> bool:
+               budget: int | None = DEFAULT_BUDGET) -> bool:
     """Membership in H(a1, ..., ar; q): g arrows the signature and cl(g) < q."""
     if q < 1:
         raise ValueError("clique cap q must be >= 1")
     if has_clique(g, range(g.n), q):
         return False
-    return arrows(g, sig, budget=budget, jobs=jobs)
+    return arrows(g, sig, budget=budget)
 
 
 def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
                                 g2: Graph, sig2: Signature | Iterable[int],
                                 position: int,
-                                budget: int | None = DEFAULT_BUDGET,
-                                jobs: int = 1) -> bool:
+                                budget: int | None = DEFAULT_BUDGET) -> bool:
     """Check the join-composition law on one instance.
 
     Given g1 arrowing sig1 and g2 arrowing sig2, where the two signatures
@@ -314,10 +306,8 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     The composition law guarantees True; a False return means the engine
     itself is broken, so callers should treat it as fatal.  The join is
     searched as one part, so the law is checked against a flat search
-    rather than decided by itself.  `jobs` has no effect, as in
-    `find_free_coloring`.
+    rather than decided by itself.
     """
-    _check_jobs(jobs)
     g = join(g1, g2)
     return _arrows(_decide(g, merge_at(sig1, sig2, position), [(1 << g.n) - 1],
                            budget), budget)

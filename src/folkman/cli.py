@@ -3,7 +3,10 @@ closed-form tables, build and verify witness certificates.
 
 Every command supports --json with a schema-stable envelope
 {command, result, seconds, nodes}.  Exit codes: 0 decided, 2 undecided
-(budget exhausted), 1 usage or data error.  Diagnostics go to stderr.
+(budget exhausted), 1 usage or data error; a command line argparse rejects,
+such as an unknown flag, is a usage error like any other.  On an error,
+--json still prints the envelope, with result {"error": <message>}.
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -26,9 +29,16 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
 
-_JOBS_HELP = "accepted for compatibility, no effect: the search runs in one process"
-
 _FORMAT_NAMES = {"g6": "graph6", "graph6": "graph6", "el": "edge-list", "edge-list": "edge-list"}
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a usage error, the code for undecided here, so
+    its errors are raised for `main` to report like any other bad input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def _parse_sig(text: str) -> Signature:
@@ -105,7 +115,7 @@ def _cmd_arrow(args) -> int:
     graph = read_graph_file(args.graph, _graph_format(args))
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
-    result = find_free_coloring(graph, sig, budget=_parse_budget(args.budget), jobs=args.jobs)
+    result = find_free_coloring(graph, sig, budget=_parse_budget(args.budget))
     seconds = time.perf_counter() - started
     payload: dict = {"verdict": result.verdict,
                      "arrows": None if result.verdict == UNDECIDED else result.verdict == ARROWS,
@@ -185,7 +195,7 @@ def _emit_certificate(args, command: str, cert: WitnessCertificate, seconds: flo
 def _cmd_witness(args) -> int:
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
-    cert = base_witness(sig, args.q, budget=_parse_budget(args.verify_budget), jobs=args.jobs)
+    cert = base_witness(sig, args.q, budget=_parse_budget(args.verify_budget))
     seconds = time.perf_counter() - started
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -198,12 +208,12 @@ def _cmd_verify(args) -> int:
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     cert = load_external_witness(args.graph, sig, args.q, budget=_parse_budget(args.budget),
-                                 fmt=_graph_format(args), jobs=args.jobs)
+                                 fmt=_graph_format(args))
     return _emit_certificate(args, "verify", cert, time.perf_counter() - started)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="folkman",
         description="Vertex Folkman numbers: arrowing decisions, bounds, witness certificates.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -216,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_arrow.add_argument("--sig", required=True, help="comma-separated signature, e.g. 2,2")
     p_arrow.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="search-node budget (0 = unlimited; default 1e8)")
-    p_arrow.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_arrow.add_argument("--format", choices=sorted(_FORMAT_NAMES),
                          help="override the format inferred from the extension")
     add_common(p_arrow)
@@ -241,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--out", help="write the certificate record to this file")
     p_witness.add_argument("--verify-budget", type=int, default=DEFAULT_BUDGET,
                            help="search-node budget for verification (0 = unlimited)")
-    p_witness.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     add_common(p_witness)
     p_witness.set_defaults(handler=_cmd_witness)
 
@@ -250,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sig", required=True)
     p_verify.add_argument("--q", type=int, required=True)
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--jobs", type=int, default=1, help=_JOBS_HELP)
     p_verify.add_argument("--format", choices=sorted(_FORMAT_NAMES))
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
@@ -259,10 +266,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # A usage error leaves `args` as parsed so far: the command once argparse
+    # accepts it, and --json as read from argv.
+    args = argparse.Namespace(json="--json" in argv, command=None)
     started = time.perf_counter()
     try:
+        build_parser().parse_args(argv, namespace=args)
         return args.handler(args)
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

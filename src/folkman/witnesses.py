@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, _check_jobs, color_classes, find_free_coloring
+from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
 from .bounds import KnownTable, KnownValue, folkman_exists
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import Graph, clique_number, complement, complete, cycle, has_clique, join, max_clique
@@ -62,7 +62,7 @@ def _check(graph: Graph, sig: Signature, q: int, construction: str,
 
 
 def base_witness(sig: Signature | Iterable[int], q: int,
-                 budget: int | None = DEFAULT_BUDGET, jobs: int = 1) -> WitnessCertificate:
+                 budget: int | None = DEFAULT_BUDGET) -> WitnessCertificate:
     """Construct and check the stock witness for (sig, q).
 
     For q > m the complete graph K_m is a witness outright: coloring its m
@@ -72,9 +72,7 @@ def base_witness(sig: Signature | Iterable[int], q: int,
     m-1; it is never trusted, only certified after the engine confirms it
     exhaustively.  `budget` alone bounds that search: the certificate stays
     unverified when the budget runs out.  No construction is known for q < m.
-    `jobs` has no effect (see `find_free_coloring`) and must be >= 1.
     """
-    _check_jobs(jobs)
     sig = as_signature(sig)
     if sig.is_empty:
         raise ValueError("no witness family for the empty signature")
@@ -130,16 +128,14 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
 
 def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
                           budget: int | None = DEFAULT_BUDGET, fmt: str | None = None,
-                          jobs: int = 1, table: KnownTable | None = None) -> WitnessCertificate:
+                          table: KnownTable | None = None) -> WitnessCertificate:
     """Check an externally supplied witness graph against its claim.
 
     The clique number is checked exactly (a too-large clique refutes the
     claim with the clique as evidence), then arrowing is decided within
     budget.  A verified witness is registered in `table` when one is given,
-    cited as coming from the file.  `jobs` has no effect (see
-    `find_free_coloring`) and must be >= 1.
+    cited as coming from the file.
     """
-    _check_jobs(jobs)
     sig = as_signature(sig)
     if sig.is_empty:
         raise ValueError("external witnesses need a nonempty signature")

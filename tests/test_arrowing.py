@@ -108,8 +108,12 @@ def test_budget_rejected_when_nonpositive():
 
 def test_budget_exhaustion_is_undecided():
     g = join(complete(2), complement(cycle(11)))
-    result = find_free_coloring(g, [3, 4], budget=5)
-    assert result.verdict == UNDECIDED
+    full = find_free_coloring(g, [3, 4], budget=None)
+    assert full.verdict == ARROWS and full.nodes > 5
+    # An undecided search expands exactly its budget; the full count decides.
+    for budget in (5, full.nodes - 1):
+        assert find_free_coloring(g, [3, 4], budget=budget) == SearchResult(UNDECIDED, None, budget)
+    assert find_free_coloring(g, [3, 4], budget=full.nodes) == full
     with pytest.raises(BudgetExceededError):
         arrows(g, [3, 4], budget=5)
 

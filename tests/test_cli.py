@@ -66,13 +66,62 @@ def test_arrow_json_schema(capsys, c5_path):
     assert isinstance(record["nodes"], int)
 
 
-def test_arrow_jobs_match(capsys, c5_path):
-    code1, out1, _ = run_cli(capsys, ["arrow", "--graph", c5_path, "--sig", "2,2",
-                                      "--jobs", "1"])
-    code2, out2, _ = run_cli(capsys, ["arrow", "--graph", c5_path, "--sig", "2,2",
-                                      "--jobs", "2"])
-    assert code1 == code2 == 0
-    assert ("arrows: true" in out1) == ("arrows: true" in out2)
+def _rejected_by_the_parser(capsys, argv, command):
+    """argv is a usage error: exit 1, nothing on stdout, and under --json the
+    error envelope, whose message is the one on stderr."""
+    code, out, err = run_cli(capsys, argv)
+    assert code == 1 and out == "" and "error:" in err
+    code, out, err = run_cli(capsys, argv + ["--json"])
+    assert code == 1
+    message = err.strip().splitlines()[-1]
+    assert message.startswith("error: ")
+    record = json.loads(out)
+    assert set(record) == {"command", "result", "seconds", "nodes"}
+    assert record["command"] == command and record["nodes"] is None
+    assert record["result"] == {"error": message[len("error: "):]}
+
+
+_SEARCH_COMMANDS = ("arrow", "witness", "verify")
+_BUDGET_FLAG = {"arrow": "--budget", "witness": "--verify-budget", "verify": "--budget"}
+
+
+def _valid_argv(command, graph_path):
+    return {"arrow": ["arrow", "--graph", graph_path, "--sig", "2,2"],
+            "witness": ["witness", "--sig", "2,2", "--q", "3"],
+            "verify": ["verify", "--graph", graph_path, "--sig", "2,2", "--q", "3"]}[command]
+
+
+def test_jobs_flag_is_a_usage_error(capsys, c5_path):
+    for command in _SEARCH_COMMANDS:
+        argv = _valid_argv(command, c5_path)
+        assert run_cli(capsys, argv)[0] == 0
+        _rejected_by_the_parser(capsys, argv + ["--jobs", "2"], command)
+
+
+@pytest.mark.parametrize("command", _SEARCH_COMMANDS)
+@pytest.mark.parametrize("fault", ["unknown-flag", "missing-required", "bad-budget"])
+def test_parser_errors_exit_one(capsys, c5_path, command, fault):
+    argv = _valid_argv(command, c5_path)
+    if fault == "unknown-flag":
+        argv.append("--bogus")
+    elif fault == "missing-required":
+        argv = argv[:1] + argv[3:]  # drop the first flag and its value
+    else:
+        argv += [_BUDGET_FLAG[command], "abc"]
+    _rejected_by_the_parser(capsys, argv, command)
+
+
+def test_parser_errors_without_a_command(capsys):
+    _rejected_by_the_parser(capsys, [], None)
+    _rejected_by_the_parser(capsys, ["bogus"], None)
+
+
+def test_help_exits_zero(capsys):
+    for argv in (["--help"], ["arrow", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage: folkman" in capsys.readouterr().out
 
 
 def test_arrow_stdin_requires_format(capsys):

@@ -1,12 +1,12 @@
 """Property tests: the part-by-part decision of joins against the naive
-oracle, on joins of small random graphs."""
+oracle, and the node budget, on joins of small random graphs."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from folkman.arrowing import ARROWS, FREE, find_free_coloring
+from folkman.arrowing import ARROWS, FREE, UNDECIDED, SearchResult, find_free_coloring
 from folkman.graphs import Graph, complement, complete, from_edges, join
 from folkman.signatures import normalize
 
@@ -85,3 +85,19 @@ def test_complete_graphs(k, raw):
     expected = FREE if sum(a - 1 for a in sig.parts) >= k else ARROWS
     result = find_free_coloring(complete(k), sig)
     assert (result.verdict, result.nodes) == (expected, 0)
+
+
+@PROPERTY
+@given(joins(st.one_of(co_connected_graphs(3, 5), st.integers(1, 2).map(complete))),
+       st.lists(st.integers(2, 3), min_size=2, max_size=3))
+def test_a_budget_stops_the_search_at_exactly_its_nodes(g, raw):
+    # Small caps over larger parts: over half the examples search, and
+    # nearly half of those reuse a part decision from the memo.  The budget
+    # may run out in any part's search or after any memo hit; the result
+    # must not depend on where.
+    sig = normalize(raw)
+    full = find_free_coloring(g, sig, budget=None)
+    for budget in range(1, full.nodes):
+        assert find_free_coloring(g, sig, budget=budget) == SearchResult(UNDECIDED, None, budget)
+    for budget in (max(full.nodes, 1), full.nodes + 1):
+        assert find_free_coloring(g, sig, budget=budget) == full

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from folkman import graphs, witnesses
-from folkman.arrowing import UNDECIDED, SearchResult, arrows, verify_composition_instance
+from folkman.arrowing import (UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
+                              verify_composition_instance)
 from folkman.bounds import KnownTable
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
@@ -80,6 +81,7 @@ def test_base_witness_budget_alone_bounds_verification():
     assert cert.proves_upper == 20
     cert = base_witness(sig, sig.m, budget=100)
     assert cert.status == UNVERIFIED
+    assert cert.nodes == 100
     assert cert.proves_upper is None
 
 
@@ -146,14 +148,21 @@ def test_compose_rechecks_a_self_join_operand_once(monkeypatch):
     assert searched == [5, 5, 5]  # once for (c, c), twice for (c, other)
 
 
-def test_jobs_has_no_effect_but_must_be_positive(tmp_path):
-    assert base_witness([2, 3], 4, jobs=2) == base_witness([2, 3], 4)
+def test_only_find_free_coloring_takes_jobs(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(serialize_graph6(cycle(5)) + "\n")
-    for call in (lambda: base_witness([2, 3], 5, jobs=0),
-                 lambda: load_external_witness(str(path), [2, 2], 3, jobs=0)):
-        with pytest.raises(ValueError, match="jobs must be >= 1"):
+    for call in (lambda: arrows(cycle(5), [2, 2], jobs=1),
+                 lambda: in_class_H(cycle(5), [2, 2], 3, jobs=1),
+                 lambda: verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1,
+                                                     jobs=1),
+                 lambda: base_witness([2, 3], 4, jobs=1),
+                 lambda: load_external_witness(str(path), [2, 2], 3, jobs=1)):
+        with pytest.raises(TypeError, match="jobs"):
             call()
+    g = base_witness([2, 3], 4).graph
+    assert find_free_coloring(g, [2, 3], jobs=2) == find_free_coloring(g, [2, 3], jobs=1)
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        find_free_coloring(g, [2, 3], jobs=0)
 
 
 def test_compose_two_boundary_witnesses():
