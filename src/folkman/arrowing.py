@@ -10,8 +10,8 @@ the rooms sum to at least k; every other part is decided on its own, under
 each way of sharing the room that can matter.  A co-connected graph is one
 part, searched whole.  Every search runs in the calling process.
 
-A part's search, `_extend`, assigns colors vertex by vertex (descending
-degree order), prunes a branch as soon as a class would acquire its
+A part's search, `_extend`, assigns colors vertex by vertex in smallest-last
+order (`_vertex_order`), prunes a branch as soon as a class would acquire its
 forbidden clique, and breaks symmetry among colors with equal caps by
 first-use order.  "Arrows" is only reported after the pruned tree is
 provably exhausted; a free coloring is returned as a concrete
@@ -72,12 +72,6 @@ class _Budget:
         self.nodes = 0
         self.limit = limit
 
-    def spend(self) -> None:
-        """Count one node, or raise if the budget has none left."""
-        if self.nodes == self.limit:
-            raise BudgetExceededError(f"search budget of {self.limit} nodes used up")
-        self.nodes += 1
-
 
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
             pos: int, masks: list[int], budget: _Budget) -> bool:
@@ -93,8 +87,12 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
         # first empty one in each group may receive its first vertex.
         if c and parts[c - 1] == cap and not masks[c - 1]:
             continue
-        budget.spend()
-        if _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
+        if budget.nodes == budget.limit:
+            raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
+        budget.nodes += 1
+        # Cap 2 forbids an edge: a class may take v only with no neighbour.
+        if (masks[c] & nbrs if cap == 2
+                else _mask_has_clique(adj, masks[c] & nbrs, cap - 1)):
             continue
         masks[c] |= vbit
         if _extend(adj, parts, order, pos + 1, masks, budget):
@@ -115,9 +113,55 @@ def _coloring_from_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
 
 
 def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
-    """The vertices of `block` by descending degree inside it."""
-    return sorted((v for v in range(len(adj)) if block >> v & 1),
-                  key=lambda v: (-(adj[v] & block).bit_count(), v))
+    """The vertices of `block` in smallest-last order (Matula & Beck 1983):
+    a vertex of least degree among those left, the lowest on ties, is
+    removed until none is left, and the search takes them in reverse.  On a
+    regular part such as co-C_{2p+1} this puts a maximum clique first.
+
+    `buckets[k]` holds the vertices left with key k, and the least key is
+    removed first.  The key starts as the degree inside `block`.  In a
+    sparse block it stays the degree: a removal lowers each neighbour's key.
+    In a dense block it is the degree plus the number removed, which ranks
+    the vertices the same: a removal raises each non-neighbour's key, so
+    co-C_{2p+1} moves 2 vertices per removal, not 2p - 2.
+    """
+    verts = [v for v in range(len(adj)) if block >> v & 1]
+    rows = [row & block for row in adj]
+    key = [row.bit_count() for row in rows]
+    n = len(verts)
+    dense = 2 * sum([key[v] for v in verts]) > n * (n - 1)
+    step = 1 if dense else -1
+    buckets = [0] * n
+    for v in verts:
+        buckets[key[v]] |= 1 << v
+        if dense:
+            rows[v] ^= block ^ 1 << v
+    removed = []
+    left = block
+    lo = 0
+    while left:
+        found = buckets[lo]
+        while not found:
+            lo += 1
+            found = buckets[lo]
+        vbit = found & -found
+        buckets[lo] = found ^ vbit
+        left ^= vbit
+        v = vbit.bit_length() - 1
+        removed.append(v)
+        rest = rows[v] & left
+        while rest:
+            ubit = rest & -rest
+            rest ^= ubit
+            u = ubit.bit_length() - 1
+            k = key[u]
+            buckets[k] ^= ubit
+            key[u] = k = k + step
+            buckets[k] |= ubit
+        if lo and not dense:
+            lo -= 1
+    removed.reverse()
+    return removed
 
 
 def _co_components(adj: tuple[int, ...]) -> list[int]:

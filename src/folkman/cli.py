@@ -34,7 +34,11 @@ _FORMAT_NAMES = {"g6": "graph6", "graph6": "graph6", "el": "edge-list", "edge-li
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, the code for undecided here, so
-    its errors are raised for `main` to report like any other bad input."""
+    its errors are raised for `main` to report like any other bad input.
+    Flags are accepted only in full: `main` finds --json in argv by name."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)

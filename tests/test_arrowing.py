@@ -152,6 +152,42 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     assert searched and set(searched) == {5}
 
 
+def _smallest_last(adj, block):
+    """Reference order: peel the least (degree left, index), then reverse."""
+    left = [v for v in range(len(adj)) if block >> v & 1]
+    removed = []
+    while left:
+        left_mask = sum(1 << u for u in left)
+        v = min(left, key=lambda u: ((adj[u] & left_mask).bit_count(), u))
+        removed.append(v)
+        left.remove(v)
+    return removed[::-1]
+
+
+def test_vertex_order_is_smallest_last():
+    rng = random.Random(5005)
+    for _ in range(200):
+        n = rng.randint(0, 40)
+        g = random_graph(rng, n, rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        block = (1 << n) - 1 if rng.random() < 0.5 else rng.getrandbits(n)
+        assert arrowing._vertex_order(g.adj, block) == _smallest_last(g.adj, block)
+
+
+def test_vertex_order_puts_a_maximum_clique_of_co_c19_first():
+    g = complement(cycle(19))
+    order = arrowing._vertex_order(g.adj, (1 << 19) - 1)
+    assert order == [18, *range(15, 0, -2), 17, *range(16, -1, -2)]
+    assert graphs.has_clique(g, order[:9], 9)  # omega(co-C19) = 9
+
+
+def test_the_hard_stock_witness_8_11_stays_cheap():
+    # join(K_6, co-C23), q = m = 18, takes 30,660 nodes.  The budget stops
+    # an order that loses the clique-first start, such as descending degree
+    # (531,382 nodes), instead of letting it run for seconds.
+    witness = join(complete(6), complement(cycle(23)))
+    assert find_free_coloring(witness, [8, 11], budget=60_000).verdict == ARROWS
+
+
 def test_oracle_equivalence_small():
     rng = random.Random(1001)
     sigs = signatures_up_to(3, 6)

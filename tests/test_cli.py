@@ -99,13 +99,18 @@ def test_jobs_flag_is_a_usage_error(capsys, c5_path):
 
 
 @pytest.mark.parametrize("command", _SEARCH_COMMANDS)
-@pytest.mark.parametrize("fault", ["unknown-flag", "missing-required", "bad-budget"])
+@pytest.mark.parametrize("fault", ["unknown-flag", "missing-required", "bad-budget",
+                                   "abbreviated-json", "abbreviated-budget"])
 def test_parser_errors_exit_one(capsys, c5_path, command, fault):
     argv = _valid_argv(command, c5_path)
     if fault == "unknown-flag":
         argv.append("--bogus")
     elif fault == "missing-required":
         argv = argv[:1] + argv[3:]  # drop the first flag and its value
+    elif fault == "abbreviated-json":
+        argv.append("--js")  # flags count only when written out in full
+    elif fault == "abbreviated-budget":
+        argv += [_BUDGET_FLAG[command][:-5], "10"]  # --b, --verify-b
     else:
         argv += [_BUDGET_FLAG[command], "abc"]
     _rejected_by_the_parser(capsys, argv, command)

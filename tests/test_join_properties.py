@@ -27,11 +27,15 @@ def graphs(draw, min_n: int = 0, max_n: int = 4) -> Graph:
 
 
 @st.composite
-def co_connected_graphs(draw, min_n: int = 2, max_n: int = 4) -> Graph:
-    """The complement of a connected graph: one co-component, never a singleton."""
+def co_connected_graphs(draw, min_n: int = 2, max_n: int = 4,
+                        extra_edges: bool = True) -> Graph:
+    """The complement of a connected graph: one co-component, never a
+    singleton.  Without extra edges that graph is a tree, and its complement
+    dense."""
     n = draw(st.integers(min_n, max_n))
     tree = [(v, draw(st.integers(0, v - 1))) for v in range(1, n)]
-    extra = [(u, v) for u in range(n) for v in range(u + 1, n) if draw(st.booleans())]
+    extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if extra_edges and draw(st.booleans())]
     return complement(from_edges(n, set(tree) | set(extra)))
 
 
@@ -101,3 +105,13 @@ def test_a_budget_stops_the_search_at_exactly_its_nodes(g, raw):
         assert find_free_coloring(g, sig, budget=budget) == SearchResult(UNDECIDED, None, budget)
     for budget in (max(full.nodes, 1), full.nodes + 1):
         assert find_free_coloring(g, sig, budget=budget) == full
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(co_connected_graphs(6, 9), co_connected_graphs(6, 9, extra_edges=False)),
+       st.lists(st.integers(2, 3), min_size=2, max_size=3))
+def test_larger_co_connected_parts(g, raw):
+    # Parts large enough for the smallest-last order to differ from index
+    # and degree order, sparse and dense; small caps keep the naive r^n scan
+    # to seconds.
+    _agrees_with_the_oracle(g, raw)
