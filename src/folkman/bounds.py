@@ -192,9 +192,10 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
 
     q > m is exact m; q = m exact m+p; q = m-1 yields [m+p+2, m+3p]; for
     p < q < m-1 no rule applies and both sides stay open.  Wherever the
-    number exists (q > p), the entries of `table` for (sig, q), when a
-    table is supplied, then tighten either side and add a KNOWN-TABLE
-    provenance node.  For q <= p the record says the number does not exist.
+    number exists (q > p), the entries of `table` for (sig, q) then tighten
+    either side and add a KNOWN-TABLE provenance node; `table=None` means
+    no table, the direct rules alone.  For q <= p the record says the
+    number does not exist.
     """
     sig = as_signature(sig)
     if sig.is_empty:
@@ -232,6 +233,37 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
     return BoundRecord(sig, q, lower, upper, provenance, note)
 
 
+def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable | None
+                 ) -> tuple[dict[int, tuple[int, Rule]], dict[int, tuple[int, tuple[int, ...]]]]:
+    """The composition DP of `composition_bound` for every block sum v <= ar.
+
+    price[v] is (upper, leaf rule) for F(prefix, v; v+1), absent when no
+    upper is known; best[v] is the minimizing (total, block multiset).
+    """
+    min_part = max(prefix[-1], MIN_COMPOSE_PART)
+    price: dict[int, tuple[int, Rule]] = {}
+    best: dict[int, tuple[int, tuple[int, ...]]] = {}
+    for v in range(min(min_part, ar), ar + 1):
+        merged = Signature(prefix + (v,))
+        rules = base_bounds(merged, v + 1)
+        _, known, citations = (table.combined(merged, v + 1) if table is not None
+                               else (None, None, []))
+        if known is not None and (rules.upper is None or known < rules.upper):
+            price[v] = known, Rule(RULE_KNOWN_TABLE,
+                                   f"F({merged};{v + 1}) <= {known} ({'; '.join(citations)})")
+        elif rules.upper is not None:
+            price[v] = rules.upper, Rule(rules.provenance[-1].name,
+                                         f"F({merged};{v + 1}) <= {rules.upper}")
+        candidates = [(price[v][0], (v,))] if v in price else []
+        for u in range(min_part, v // 2 + 1):
+            if u in best and v - u in best:
+                candidates.append((best[u][0] + best[v - u][0],
+                                   tuple(sorted(best[u][1] + best[v - u][1]))))
+        if candidates:
+            best[v] = min(candidates, key=lambda c: (c[0], len(c[1]), c[1]))
+    return price, best
+
+
 def composition_bound(sig: Signature | Iterable[int], q: int,
                       table: KnownTable | None = None) -> BoundRecord:
     """Best join-composition upper bound for F(a1,...,ar; a_r+1).
@@ -241,7 +273,8 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     the total over all splits by dynamic programming.  Multi-block splits
     use blocks of size >= max(a_{r-1}, MIN_COMPOSE_PART); the single-block
     split is always admissible.  Ties prefer fewer blocks, then the
-    lexicographically smallest block multiset.
+    lexicographically smallest block multiset.  `table=None` means no
+    table: every block is priced by the direct rules alone.
     """
     sig = as_signature(sig)
     if sig.r < 2:
@@ -249,61 +282,14 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     ar = sig.parts[-1]
     if q != ar + 1:
         raise ValueError(f"composition bound only applies at q = a_r + 1 = {ar + 1}, got q={q}")
-    prefix = sig.parts[:-1]
-    min_part = max(prefix[-1], MIN_COMPOSE_PART)
-
-    def block_record(v: int) -> tuple[int | None, Rule | None]:
-        """Best upper for the signature with block v in the last slot, plus a
-        leaf provenance node named after the rule that priced it."""
-        merged = Signature(tuple(sorted(prefix + (v,))))
-        rules = base_bounds(merged, v + 1)
-        _, known, citations = (table.combined(merged, v + 1) if table is not None
-                               else (None, None, []))
-        if known is not None and (rules.upper is None or known < rules.upper):
-            return known, Rule(RULE_KNOWN_TABLE,
-                               f"F({merged};{v + 1}) <= {known} ({'; '.join(citations)})")
-        if rules.upper is None:
-            return None, None
-        return rules.upper, Rule(rules.provenance[-1].name, f"F({merged};{v + 1}) <= {rules.upper}")
-
-    block_cache: dict[int, tuple[int | None, Rule | None]] = {}
-
-    def block_upper(v: int) -> int | None:
-        if v not in block_cache:
-            block_cache[v] = block_record(v)
-        return block_cache[v][0]
-
-    # best[v]: (total, block multiset) minimizing (total, #blocks, multiset).
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for v in range(min_part, ar + 1):
-        candidates: list[tuple[int, tuple[int, ...]]] = []
-        single = block_upper(v)
-        if single is not None:
-            candidates.append((single, (v,)))
-        for u in range(min_part, v // 2 + 1):
-            w = v - u
-            if u in best and w in best:
-                total = best[u][0] + best[w][0]
-                blocks = tuple(sorted(best[u][1] + best[w][1]))
-                candidates.append((total, blocks))
-        if candidates:
-            best[v] = min(candidates, key=lambda c: (c[0], len(c[1]), c[1]))
-
-    if ar < min_part:
-        single = block_upper(ar)
-        choice = None if single is None else (single, (ar,))
-    else:
-        choice = best.get(ar)
-
-    if choice is None:
+    price, best = _best_splits(sig.parts[:-1], ar, table)
+    if ar not in best:
         return BoundRecord(sig, q, None, None, (),
                            note="no composition block has a known upper bound")
-    total, blocks = choice
-    block_details = [str(block_upper(b)) for b in blocks]
-    children = [block_cache[b][1] for b in blocks]
-    detail = "+".join(str(b) for b in blocks) + ": " + "+".join(block_details)
+    total, blocks = best[ar]
+    detail = "+".join(str(b) for b in blocks) + ": " + "+".join(str(price[b][0]) for b in blocks)
     return BoundRecord(sig, q, None, total,
-                       (Rule(RULE_THEOREM, detail, tuple(children)),))
+                       (Rule(RULE_THEOREM, detail, tuple(price[b][1] for b in blocks)),))
 
 
 def closed_form_upper_3p(p: int) -> int:
@@ -376,41 +362,37 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     """Verify the step-4 recurrences and the closed forms against the DP.
 
     For 8 <= p <= p_max the computed uppers must satisfy
-    upper(p) <= upper(p-4) + 13 in both families, and for 4 <= p <= p_max
-    the closed forms must equal the composition DP exactly.  The conjectured
-    13p/4 bound is never used as an input; the report only notes where the
-    computed uppers already meet it.
+    upper(p) <= upper(p-4) + step in both families, where step is the
+    table's upper for F(3,4;5) or F(2,2,4;5) (13 with the bundled table),
+    and for 4 <= p <= p_max the closed forms must equal the composition DP
+    exactly.  One DP per family prices every p.  The conjectured 13p/4
+    bound is never used as an input; the report only notes where the
+    computed uppers already meet it.  `table=None` loads the bundled table
+    (plus the FOLKMAN_TABLE override).
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     if table is None:
         table = default_table()
     report = RecurrenceReport(p_max=p_max)
-    families = (
-        ("3,p", lambda p: normalize([3, p]), closed_form_upper_3p),
-        ("2,2,p", lambda p: normalize([2, 2, p]), closed_form_upper_22p),
-    )
-    uppers: dict[tuple[str, int], int] = {}
-    for name, make_sig, closed_form in families:
+    families = (("3,p", (3,), closed_form_upper_3p), ("2,2,p", (2, 2), closed_form_upper_22p))
+    for name, prefix, closed_form in families:
+        uppers = {p: total for p, (total, _) in _best_splits(prefix, p_max, table)[1].items()}
         for p in range(4, p_max + 1):
-            rec = composition_bound(make_sig(p), p + 1, table)
             report.checks += 1
-            if rec.upper is None:
+            if p not in uppers:
                 report.violations.append(f"{name}, p={p}: no composition upper")
                 continue
-            uppers[(name, p)] = rec.upper
-            if closed_form(p) != rec.upper:
+            if closed_form(p) != uppers[p]:
                 report.violations.append(
-                    f"{name}, p={p}: closed form {closed_form(p)} != composition {rec.upper}")
-            if 4 * rec.upper <= 13 * p:
+                    f"{name}, p={p}: closed form {closed_form(p)} != composition {uppers[p]}")
+            if 4 * uppers[p] <= 13 * p:
                 report.conjectured_quarter_bound_holds.append((name, p))
-        step = base_bounds(make_sig(4), 5, table).upper
+        step = base_bounds(Signature(prefix + (4,)), 5, table).upper
         for p in range(8, p_max + 1):
             report.checks += 1
-            if (name, p) not in uppers or (name, p - 4) not in uppers:
-                continue
-            if uppers[(name, p)] > uppers[(name, p - 4)] + step:
+            if p in uppers and p - 4 in uppers and uppers[p] > uppers[p - 4] + step:
                 report.violations.append(
-                    f"{name}, p={p}: recurrence fails: {uppers[(name, p)]} > "
-                    f"{uppers[(name, p - 4)]} + {step}")
+                    f"{name}, p={p}: recurrence fails: {uppers[p]} > "
+                    f"{uppers[p - 4]} + {step}")
     return report

@@ -63,11 +63,12 @@ def _parse_budget(value: int) -> int | None:
 
 
 def _parse_p_range(text: str) -> range:
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-    else:
-        lo = hi = int(text)
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo = int(lo_text)
+        hi = int(hi_text) if dots else lo
+    except ValueError:
+        raise ValueError(f"--p expects N or LO..HI, got {text!r}") from None
     if lo < 4:
         raise ValueError("closed-form tables start at p = 4")
     if hi < lo:

@@ -297,6 +297,35 @@ def test_check_recurrences():
     assert ("3,p", 7) not in report.conjectured_quarter_bound_holds
     with pytest.raises(ValueError):
         check_recurrences(7, TABLE)
+    report = check_recurrences(60, TABLE)
+    assert report.ok
+    assert report.checks == 2 * 57 + 2 * 53
+
+
+def test_check_recurrences_reports_violations_in_order():
+    # Without a table every block v costs the q = m-1 rule's m+3p = 4v+2, so
+    # the DP gives 4p+2, which the closed forms meet only at p = 5, 6, 7 for
+    # (3,p) and at p = 5 for (2,2,p).
+    report = check_recurrences(12, KnownTable())
+    assert report.checks == 2 * 9 + 2 * 5
+    assert report.conjectured_quarter_bound_holds == []
+    assert report.violations == [
+        "3,p, p=4: closed form 13 != composition 18",
+        "3,p, p=8: closed form 26 != composition 34",
+        "3,p, p=9: closed form 35 != composition 38",
+        "3,p, p=10: closed form 39 != composition 42",
+        "3,p, p=11: closed form 43 != composition 46",
+        "3,p, p=12: closed form 39 != composition 50",
+        "2,2,p, p=4: closed form 13 != composition 18",
+        "2,2,p, p=6: closed form 22 != composition 26",
+        "2,2,p, p=7: closed form 28 != composition 30",
+        "2,2,p, p=8: closed form 26 != composition 34",
+        "2,2,p, p=9: closed form 35 != composition 38",
+        "2,2,p, p=10: closed form 35 != composition 42",
+        "2,2,p, p=11: closed form 41 != composition 46",
+        "2,2,p, p=12: closed form 39 != composition 50",
+    ]
+    assert not report.ok
 
 
 def test_recurrence_spot_values():

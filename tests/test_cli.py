@@ -206,6 +206,18 @@ def test_table_bad_range(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("text", ["4..", "x", "4..x"])
+def test_table_malformed_p_names_the_flag(capsys, text):
+    message = f"error: --p expects N or LO..HI, got {text!r}"
+    code, out, err = run_cli(capsys, ["table", "--kind", "both", "--p", text])
+    assert code == 1 and out == "" and err.strip() == message
+    code, out, err = run_cli(capsys, ["table", "--kind", "both", "--p", text, "--json"])
+    assert code == 1 and err.strip() == message
+    record = json.loads(out)
+    assert record["command"] == "table"
+    assert record["result"] == {"error": message[len("error: "):]}
+
+
 def test_witness_writes_certificate(capsys, tmp_path):
     out_path = tmp_path / "w.cert"
     code, out, _ = run_cli(capsys, ["witness", "--sig", "3,3", "--q", "5",
