@@ -1,14 +1,13 @@
 """Exhaustive arrowing decisions: does every r-coloring of V(G) produce a
 monochromatic a_i-clique in some color class i?
 
-A graph is first split into its co-components, the components of its
-complement.  Every vertex of one co-component is adjacent to every vertex of
-another, so the graph is their join, and by the paper's composition law a
-class's clique number is the sum of its clique numbers in the parts.  The
-singleton co-components form one K_k, which fits a room of r_i per class iff
-the rooms sum to at least k; every other part is decided on its own, under
-each way of sharing the room that can matter.  A co-connected graph is one
-part, searched whole.  Every search runs in the calling process.
+A graph is first split into its co-components by `graphs._co_components`.
+It is their join, so by the paper's composition law a class's clique number
+is the sum of its clique numbers in the parts.  The singleton co-components
+form one K_k, which fits a room of r_i per class iff the rooms sum to at
+least k; every other part is decided on its own, under each way of sharing
+the room that can matter.  A co-connected graph is one part, searched
+whole.  Every search runs in the calling process.
 
 A part's search, `_extend`, assigns colors vertex by vertex in smallest-last
 order (`_vertex_order`), prunes a branch as soon as a class would acquire its
@@ -26,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, _mask_has_clique, has_clique, join
+from .graphs import Graph, _co_components, _mask_has_clique, has_clique, join
 from .signatures import Signature, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
@@ -164,25 +163,6 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     return removed
 
 
-def _co_components(adj: tuple[int, ...]) -> list[int]:
-    """Vertex masks of the components of the complement, found by a BFS over
-    the complement's rows: u's unvisited non-neighbours are `left & ~adj[u]`."""
-    blocks = []
-    left = (1 << len(adj)) - 1
-    while left:
-        block = frontier = left & -left
-        left ^= block
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = left & ~adj[u]
-            left ^= new
-            frontier |= new
-            block |= new
-        blocks.append(block)
-    return blocks
-
-
 def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
     """The vectors d <= room with sum(d) == total, generated lazily, the
     first entry largest first: that puts the even shares of an ascending
@@ -292,7 +272,7 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return _decide(g, as_signature(sig), _co_components(g.adj), budget)
+    return _decide(g, as_signature(sig), _co_components(g.adj, (1 << g.n) - 1), budget)
 
 
 def _decide(g: Graph, sig: Signature, blocks: list[int],

@@ -4,6 +4,10 @@ Vertices are the integers 0..n-1 and each adjacency row is a Python int
 used as a bitset.  Exceeding the width cap is a clean error, never silent
 truncation; every desk-scale computation in this toolkit fits in 64
 vertices.
+
+By the paper's composition law a join's clique number is the sum of its
+parts', so the clique routines answer a join block by block, on its split
+into co-components (the components of the complement) that `arrowing` shares.
 """
 
 from __future__ import annotations
@@ -130,6 +134,25 @@ def _mask_has_clique(adj: tuple[int, ...], mask: int, k: int) -> bool:
     return False
 
 
+def _co_components(adj: tuple[int, ...], mask: int) -> list[int]:
+    """Vertex masks of the co-components of the subgraph on `mask`, found by a
+    BFS over the complement's rows: u's unvisited non-neighbours are `left & ~adj[u]`."""
+    blocks = []
+    left = mask
+    while left:
+        block = frontier = left & -left
+        left ^= block
+        while frontier:
+            u = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = left & ~adj[u]
+            left ^= new
+            frontier |= new
+            block |= new
+        blocks.append(block)
+    return blocks
+
+
 def has_clique(g: Graph, subset: Iterable[int], k: int) -> bool:
     """True iff the induced subgraph on `subset` contains a k-clique.
 
@@ -142,17 +165,15 @@ def has_clique(g: Graph, subset: Iterable[int], k: int) -> bool:
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v
-    return _mask_has_clique(g.adj, mask, k)
+    blocks = _co_components(g.adj, mask)
+    if len(blocks) < 2:
+        return _mask_has_clique(g.adj, mask, k)
+    return _max_clique_mask(g.adj, blocks).bit_count() >= k
 
 
-def max_clique(g: Graph) -> list[int]:
-    """One maximum clique, found by branch and bound with a greedy coloring bound."""
-    if g.n == 0:
-        return []
-    adj = g.adj
-    best_mask = 1 << (max(range(g.n), key=g.degree))
-    best_size = 1
-
+def _max_clique_mask(adj: tuple[int, ...], blocks: list[int]) -> int:
+    """One maximum clique of the join of `blocks`: the one branch and bound
+    finds in each block extends those of the blocks before it."""
     def expand(cand: int, cur_mask: int, cur_size: int):
         nonlocal best_mask, best_size
         # Greedy-color the candidate set; a vertex of color c can extend the
@@ -184,18 +205,19 @@ def max_clique(g: Graph) -> list[int]:
                 expand(sub, new_mask, cur_size + 1)
             cand &= ~(1 << v)
 
-    expand((1 << g.n) - 1, 0, 0)
-    out = []
-    rest = best_mask
-    while rest:
-        v = (rest & -rest).bit_length() - 1
-        rest &= rest - 1
-        out.append(v)
-    return out
+    best_mask = 0
+    for block in blocks:
+        best_size = 0
+        expand(block, best_mask, 0)
+    return best_mask
+
+
+def max_clique(g: Graph) -> list[int]:
+    """One maximum clique: the union of one per co-component."""
+    clique = _max_clique_mask(g.adj, _co_components(g.adj, (1 << g.n) - 1))
+    return [v for v in range(g.n) if clique >> v & 1]
 
 
 def clique_number(g: Graph) -> int:
     """Exact maximum clique size; 0 for the empty graph."""
-    if g.n == 0:
-        return 0
     return len(max_clique(g))

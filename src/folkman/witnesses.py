@@ -139,8 +139,8 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
     sig = as_signature(sig)
     if sig.is_empty:
         raise ValueError("external witnesses need a nonempty signature")
-    if q < 1:
-        raise ValueError("clique cap q must be >= 1")
+    if not folkman_exists(sig, q):
+        raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
     graph = read_graph_file(path, fmt)
     cert = _check(graph, sig, q, f"external file {path}", budget)
     if cert.status == VERIFIED and table is not None:
@@ -180,6 +180,11 @@ def format_certificate(cert: WitnessCertificate) -> str:
 
 
 def parse_certificate(text: str) -> WitnessCertificate:
+    def number(key: str, value: str) -> int:
+        try:
+            return int(value)
+        except ValueError:
+            raise ValueError(f"certificate field {key!r} expects integers, got {value!r}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _CERT_HEADER:
         raise ValueError(f"certificate must start with {_CERT_HEADER!r}")
@@ -193,27 +198,30 @@ def parse_certificate(text: str) -> WitnessCertificate:
         if required not in fields:
             raise ValueError(f"certificate missing field {required!r}")
     graph = parse_graph6(fields["graph6"])
-    sig = as_signature(int(t) for t in fields["signature"].split(","))
+    sig = as_signature(number("signature", t) for t in fields["signature"].split(","))
+    q = number("q", fields["q"])
+    if not folkman_exists(sig, q):
+        raise ValueError(f"certificate field 'q' must exceed {sig.p}, got {q}")
     status = fields["status"]
     if status not in (VERIFIED, UNVERIFIED, REFUTED):
         raise ValueError(f"unknown certificate status {status!r}")
-    if "vertices" in fields and int(fields["vertices"]) != graph.n:
+    if "vertices" in fields and number("vertices", fields["vertices"]) != graph.n:
         raise ValueError(f"certificate says {fields['vertices']} vertices, graph has {graph.n}")
-    free_coloring = None
-    if "free-coloring" in fields:
-        free_coloring = tuple(int(t) for t in fields["free-coloring"].split(","))
+    evidence = {key: tuple(number(key, t) for t in fields[key].split(","))
+                for key in ("free-coloring", "clique") if key in fields}
+    if evidence and status != REFUTED:
+        raise ValueError(f"status {status!r} cannot carry {' and '.join(evidence)} evidence")
+    free_coloring, clique = evidence.get("free-coloring"), evidence.get("clique")
+    if free_coloring is not None:
         if len(free_coloring) != graph.n or not all(0 <= c < sig.r for c in free_coloring):
             raise ValueError(f"free coloring must give each of {graph.n} vertices "
                              f"one of {sig.r} colors")
         if any(has_clique(graph, members, cap)
                for members, cap in zip(color_classes(free_coloring, sig.r), sig.parts)):
             raise ValueError("free coloring has a monochromatic forbidden clique")
-    clique = None
-    if "clique" in fields:
-        clique = tuple(int(t) for t in fields["clique"].split(","))
+    if clique is not None:
         if len(set(clique)) != len(clique) or not all(0 <= v < graph.n for v in clique):
             raise ValueError(f"clique vertices must be distinct and below {graph.n}")
-        if not has_clique(graph, clique, len(clique)):
-            raise ValueError("clique evidence is not a clique")
-    return WitnessCertificate(graph, sig, int(fields["q"]), status,
-                              fields["construction"], free_coloring, clique)
+        if len(clique) < q or not has_clique(graph, clique, len(clique)):
+            raise ValueError(f"certificate field 'clique' is not a clique of at least {q} vertices")
+    return WitnessCertificate(graph, sig, q, status, fields["construction"], free_coloring, clique)

@@ -10,8 +10,8 @@ from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError, Sear
 from folkman.graphs import Graph, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
 
-from conftest import (coloring_is_free, naive_arrows, properly_colorable,
-                      random_graph, signatures_up_to)
+from conftest import (brute_subset_has_clique, coloring_is_free, naive_arrows,
+                      properly_colorable, random_graph, signatures_up_to)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
@@ -97,6 +97,32 @@ def test_clique_caps_are_decided_without_a_clique_number(monkeypatch):
     assert find_free_coloring(m4, [2, 2, 2, 3]) == SearchResult(FREE, (3,) * 23, 0)
     assert not in_class_H(m4, [2, 2, 2, 3], 3)
     assert not in_class_H(m4, [2, 2, 2, 3], 2)
+
+
+def test_clique_routines_answer_a_join_block_by_block(monkeypatch):
+    # Three self-joins of the stock (2,2,2;4) witness join(K1, co-C5): 8
+    # singletons and 8 copies of co-C5.  Searched whole, has_clique(g,
+    # range(48), 25) runs for tens of seconds; block by block the checks
+    # below make 16 calls.
+    g = join(complete(1), complement(cycle(5)))
+    for _ in range(3):
+        g = join(g, g)
+    real = graphs._mask_has_clique
+    calls = 0
+
+    def capped(adj, mask, k):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("a join's clique check searched it whole")
+        return real(adj, mask, k)
+
+    monkeypatch.setattr(graphs, "_mask_has_clique", capped)
+    assert not graphs.has_clique(g, range(48), 25)
+    assert in_class_H(g, [2, 2, 16], 25)
+    assert graphs.clique_number(g) == 24
+    clique = graphs.max_clique(g)
+    assert len(clique) == 24 and brute_subset_has_clique(g, clique, 24)
 
 
 def test_budget_rejected_when_nonpositive():

@@ -261,6 +261,20 @@ def test_verify_refutes_k4(capsys, tmp_path):
     assert "clique:" in out
 
 
+def test_verify_decides_a_64_vertex_composite_by_its_blocks(capsys, tmp_path):
+    # Three self-joins of the stock (3,3;5) witness join(K1, co-C7): a
+    # (3,24;33) witness whose clique check stalled when searched whole.
+    g = join(complete(1), complement(cycle(7)))
+    for _ in range(3):
+        g = join(g, g)
+    path = tmp_path / "w3_24.g6"
+    path.write_text(serialize_graph6(g) + "\n")
+    code, out, _ = run_cli(capsys, ["verify", "--graph", str(path), "--sig", "3,24",
+                                    "--q", "33"])
+    assert code == 0
+    assert "status: verified" in out
+
+
 def test_usage_errors_exit_one(capsys, c5_path):
     code, _, err = run_cli(capsys, ["arrow", "--graph", c5_path, "--sig", "2,x"])
     assert code == 1 and "error:" in err

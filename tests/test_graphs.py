@@ -77,10 +77,21 @@ def test_clique_number_matches_brute_force():
         assert clique_number(g) == brute_clique_number(g)
 
 
+def _random_join(rng: random.Random) -> Graph:
+    """A join of 2 or 3 parts of up to 4 vertices, about a third of them K1 or K2."""
+    g = complete(0)
+    for _ in range(rng.randint(2, 3)):
+        if rng.random() < 1 / 3:
+            g = join(g, complete(rng.randint(1, 2)))
+        else:
+            g = join(g, random_graph(rng, rng.randint(1, 4), rng.random()))
+    return g
+
+
 def test_max_clique_is_a_clique_of_max_size():
     rng = random.Random(515)
-    for _ in range(100):
-        g = random_graph(rng, rng.randint(1, 9), rng.random())
+    graphs = [random_graph(rng, rng.randint(1, 9), rng.random()) for _ in range(100)]
+    for g in graphs + [_random_join(rng) for _ in range(100)]:
         witness = max_clique(g)
         assert all(g.has_edge(u, v) for u, v in combinations(witness, 2))
         assert len(witness) == brute_clique_number(g)
@@ -123,10 +134,10 @@ def test_has_clique_examples():
 
 def test_has_clique_matches_brute_force():
     rng = random.Random(31337)
-    for _ in range(200):
-        g = random_graph(rng, rng.randint(1, 7), rng.random())
+    for i in range(400):  # then subsets of joins
+        g = random_graph(rng, rng.randint(1, 7), rng.random()) if i < 200 else _random_join(rng)
         verts = [v for v in range(g.n) if rng.random() < 0.6]
-        k = rng.randint(0, 4)
+        k = rng.randint(0, 4 if i < 200 else 8)
         assert has_clique(g, verts, k) == brute_subset_has_clique(g, verts, k)
 
 

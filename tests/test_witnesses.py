@@ -230,6 +230,9 @@ def test_external_witness_verified(tmp_path):
     assert cert.status == VERIFIED
     assert cert.vertices == 5
     assert "external file" in cert.construction
+    # Every certificate it returns must parse back, and q <= p never does.
+    with pytest.raises(ValueError, match="does not exist"):
+        load_external_witness(str(path), [2, 2], 2)
 
 
 def test_external_witness_refuted_by_clique(tmp_path):
@@ -326,6 +329,45 @@ def test_certificate_parse_errors():
         parse_certificate(refuted + "clique: 0,1,2,40\n")
     with pytest.raises(ValueError, match="not a clique"):
         parse_certificate(refuted + "clique: 0,1,2\n")  # C5 is triangle-free
+    # A field that must hold integers names itself when it does not.
+    for old, new in (("q: 3", "q: abc"), ("vertices: 5", "vertices: five"),
+                     ("signature: 2,2", "signature: 2,x")):
+        with pytest.raises(ValueError, match=f"'{old.split(':')[0]}'"):
+            parse_certificate(good.replace(old, new))
+    for field in ("free-coloring", "clique"):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_certificate(refuted + f"{field}: 0,1,?\n")
+
+
+def _c5_certificate(signature: str, q: int, status: str, evidence: str) -> str:
+    return (f"folkman-witness v1\ngraph6: {serialize_graph6(cycle(5))}\nsignature: {signature}\n"
+            f"q: {q}\nvertices: 5\nstatus: {status}\nconstruction: by hand\n{evidence}")
+
+
+def test_certificate_evidence_needs_status_refuted():
+    # C5 is triangle-free, so this coloring is free for (3,3): the record
+    # refutes its own "verified" status.
+    text = _c5_certificate("3,3", 4, VERIFIED, "free-coloring: 0,0,1,1,0\n")
+    with pytest.raises(ValueError, match="'verified'.*free-coloring"):
+        parse_certificate(text)
+    assert parse_certificate(text.replace(VERIFIED, REFUTED)).status == REFUTED
+    with pytest.raises(ValueError, match="'unverified'.*clique"):
+        parse_certificate(_c5_certificate("2,2", 3, UNVERIFIED, "clique: 0,1\n"))
+
+
+def test_certificate_clique_evidence_needs_q_vertices():
+    with pytest.raises(ValueError, match="'clique'.*at least 5 vertices"):
+        parse_certificate(_c5_certificate("2,2", 5, REFUTED, "clique: 0,1\n"))
+
+
+def test_certificate_q_must_exceed_the_largest_part():
+    # F(2,2;0) does not exist, so no graph can witness it.
+    for q in (0, 2):
+        with pytest.raises(ValueError, match="'q' must exceed 2"):
+            parse_certificate(_c5_certificate("2,2", q, VERIFIED, ""))
+    with pytest.raises(ValueError, match="'q' must exceed 3"):
+        parse_certificate(_c5_certificate("3,3", 3, VERIFIED, "free-coloring: 0,0,1,1,0\n"))
+    assert parse_certificate(_c5_certificate("2,2", 3, VERIFIED, "")).proves_upper == 5
 
 
 def test_verified_small_certificates_confirmed_by_naive_oracle():
