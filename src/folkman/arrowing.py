@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, _co_components, _mask_has_clique, has_clique, join
+from .graphs import (Graph, _co_components, _join_has_clique, _mask_has_clique, has_clique,
+                     join)
 from .signatures import Signature, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
@@ -278,11 +279,12 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 def _decide(g: Graph, sig: Signature, blocks: list[int],
             budget: int | None) -> SearchResult:
     """Decide g as the join of the vertex masks `blocks`, block by block:
-    a lone block, such as a co-connected graph, is searched whole."""
+    a lone block, such as a co-connected graph, is searched whole.  A g
+    without a p-clique, also decided block by block, needs no search."""
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     parts = sig.parts
-    if parts and not _mask_has_clique(g.adj, (1 << g.n) - 1, sig.p):
+    if parts and not _join_has_clique(g.adj, blocks, sig.p):
         # No p-clique: the widest class can hold every vertex.
         return SearchResult(FREE, tuple([len(parts) - 1] * g.n), 0)
     bud = _Budget(budget)

@@ -33,7 +33,7 @@ ENV_TABLE_PATH = "FOLKMAN_TABLE"
 MIN_COMPOSE_PART = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Rule:
     """One node of a provenance tree: rule id, human detail, child rules."""
 
@@ -42,7 +42,7 @@ class Rule:
     children: tuple["Rule", ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundRecord:
     """Lower/upper bounds for one (signature, q) with provenance."""
 
@@ -89,6 +89,9 @@ class KnownTable:
 
     def __init__(self, entries: Iterable[KnownValue] = ()):
         self._by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
+        # The composition DP per prefix (`_best_splits`), priced from this
+        # table: every add drops it.
+        self._splits: dict[tuple[int, ...], _Splits] = {}
         for entry in entries:
             self.add(entry)
 
@@ -108,6 +111,7 @@ class KnownTable:
             raise ValueError(f"{where}F({entry.signature};{entry.q}): {clash} "
                              f"of {old.citation!r}{at}")
         group.append(entry)
+        self._splits.clear()
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
@@ -233,17 +237,35 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
     return BoundRecord(sig, q, lower, upper, provenance, note)
 
 
-def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable | None
-                 ) -> tuple[dict[int, tuple[int, Rule]], dict[int, tuple[int, tuple[int, ...]]]]:
-    """The composition DP of `composition_bound` for every block sum v <= ar.
+class _Splits:
+    """The composition DP for one prefix: price[v] is (upper, leaf rule) for
+    F(prefix, v; v+1), absent when no upper is known, and best[v] is the
+    minimizing (total, block multiset).  Every v from prefix[-1] to `top` is
+    done; an entry depends on v and the entries below it, never on the a_r
+    that asked for it, so a larger a_r extends the same dicts."""
 
-    price[v] is (upper, leaf rule) for F(prefix, v; v+1), absent when no
-    upper is known; best[v] is the minimizing (total, block multiset).
+    __slots__ = ("price", "best", "top")
+
+    def __init__(self, prefix: tuple[int, ...]):
+        self.price: dict[int, tuple[int, Rule]] = {}
+        self.best: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.top = prefix[-1] - 1
+
+
+def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable | None) -> _Splits:
+    """The composition DP of `composition_bound`, done for every block sum
+    v <= ar (and perhaps beyond) and kept per prefix on `table`; without a
+    table it is done afresh.
+
+    Blocks below max(prefix[-1], MIN_COMPOSE_PART) stand only alone.
     """
+    memo = {} if table is None else table._splits
+    splits = memo.get(prefix)
+    if splits is None:
+        splits = memo[prefix] = _Splits(prefix)
+    price, best = splits.price, splits.best
     min_part = max(prefix[-1], MIN_COMPOSE_PART)
-    price: dict[int, tuple[int, Rule]] = {}
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for v in range(min(min_part, ar), ar + 1):
+    for v in range(splits.top + 1, ar + 1):
         merged = Signature(prefix + (v,))
         rules = base_bounds(merged, v + 1)
         _, known, citations = (table.combined(merged, v + 1) if table is not None
@@ -261,7 +283,8 @@ def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable | None
                                    tuple(sorted(best[u][1] + best[v - u][1]))))
         if candidates:
             best[v] = min(candidates, key=lambda c: (c[0], len(c[1]), c[1]))
-    return price, best
+        splits.top = v
+    return splits
 
 
 def composition_bound(sig: Signature | Iterable[int], q: int,
@@ -274,7 +297,9 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     use blocks of size >= max(a_{r-1}, MIN_COMPOSE_PART); the single-block
     split is always admissible.  Ties prefer fewer blocks, then the
     lexicographically smallest block multiset.  `table=None` means no
-    table: every block is priced by the direct rules alone.
+    table: every block is priced by the direct rules alone.  With a table
+    the DP is computed once per (a1..a_{r-1}, table), extended when a larger
+    a_r is asked, and recomputed after the table gains an entry.
     """
     sig = as_signature(sig)
     if sig.r < 2:
@@ -282,7 +307,8 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     ar = sig.parts[-1]
     if q != ar + 1:
         raise ValueError(f"composition bound only applies at q = a_r + 1 = {ar + 1}, got q={q}")
-    price, best = _best_splits(sig.parts[:-1], ar, table)
+    splits = _best_splits(sig.parts[:-1], ar, table)
+    price, best = splits.price, splits.best
     if ar not in best:
         return BoundRecord(sig, q, None, None, (),
                            note="no composition block has a known upper bound")
@@ -314,7 +340,9 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     bound (when q = a_r + 1), and the subsumption link that lets a
     (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
     provenance lists every contributor.  `table=None` loads the bundled
-    table (plus the FOLKMAN_TABLE override).
+    table (plus the FOLKMAN_TABLE override).  Pass one table to many calls:
+    the composition DP is computed once per prefix and table, and refreshed
+    when the table gains an entry.
     """
     sig = as_signature(sig)
     if table is None:
@@ -377,7 +405,8 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     report = RecurrenceReport(p_max=p_max)
     families = (("3,p", (3,), closed_form_upper_3p), ("2,2,p", (2, 2), closed_form_upper_22p))
     for name, prefix, closed_form in families:
-        uppers = {p: total for p, (total, _) in _best_splits(prefix, p_max, table)[1].items()}
+        best = _best_splits(prefix, p_max, table).best
+        uppers = {p: best[p][0] for p in range(4, p_max + 1) if p in best}
         for p in range(4, p_max + 1):
             report.checks += 1
             if p not in uppers:

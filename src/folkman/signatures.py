@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Signature:
     """Normalized list of per-color clique caps.
 

@@ -33,6 +33,25 @@ def brute_subset_has_clique(g: Graph, verts, k: int) -> bool:
     return False
 
 
+def scan_adjacency(n: int, adj) -> None:
+    """Per-bit validity scan of adjacency rows: raises the ValueError of the
+    first row with bits beyond n or a loop, else of the first pair (v, u) in
+    row order with u in row v but v not in row u."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            raise ValueError(f"adjacency row {v} has bits beyond vertex range")
+        if (row >> v) & 1:
+            raise ValueError(f"vertex {v} is self-adjacent")
+    for v, row in enumerate(adj):
+        rest = row
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            if not (adj[u] >> v) & 1:
+                raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+
+
 def coloring_is_free(g: Graph, parts, coloring) -> bool:
     """Brute-force check that class i avoids an a_i-clique for every i."""
     for c, cap in enumerate(parts):
@@ -77,6 +96,16 @@ def properly_colorable(g: Graph, r: int) -> bool:
         return False
 
     return assign(0)
+
+
+def mycielskian(g: Graph) -> Graph:
+    """Mycielski's construction: triangle-free in, triangle-free out, one
+    more color needed."""
+    n = g.n
+    edges = list(g.edges())
+    edges += [(u + n, v) for u, v in g.edges()] + [(v + n, u) for u, v in g.edges()]
+    edges += [(u + n, 2 * n) for u in range(n)]
+    return from_edges(2 * n + 1, edges)
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

@@ -10,7 +10,7 @@ from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError, Sear
 from folkman.graphs import Graph, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
 
-from conftest import (brute_subset_has_clique, coloring_is_free, naive_arrows,
+from conftest import (brute_subset_has_clique, coloring_is_free, mycielskian, naive_arrows,
                       properly_colorable, random_graph, signatures_up_to)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -68,16 +68,6 @@ def test_empty_graph_with_real_signature():
             assert result == SearchResult(FREE, (), 0)
 
 
-def _mycielskian(g: Graph) -> Graph:
-    """Mycielski's construction: triangle-free in, triangle-free out, one
-    more color needed."""
-    n = g.n
-    edges = list(g.edges())
-    edges += [(u + n, v) for u, v in g.edges()] + [(v + n, u) for u, v in g.edges()]
-    edges += [(u + n, 2 * n) for u in range(n)]
-    return from_edges(2 * n + 1, edges)
-
-
 def test_clique_caps_are_decided_without_a_clique_number(monkeypatch):
     def no_max_clique(g):
         raise AssertionError("the engine must decide clique caps, not compute them")
@@ -91,7 +81,7 @@ def test_clique_caps_are_decided_without_a_clique_number(monkeypatch):
     assert raised.verdict == FREE
     assert coloring_is_free(witness, (3, 4, 4), raised.coloring)
     assert not in_class_H(witness, [3, 4, 4], 8)
-    m4 = _mycielskian(_mycielskian(cycle(5)))
+    m4 = mycielskian(mycielskian(cycle(5)))
     assert m4.n == 23
     # omega(M4) = 2 < p = 3: the widest class takes every vertex, no search.
     assert find_free_coloring(m4, [2, 2, 2, 3]) == SearchResult(FREE, (3,) * 23, 0)
@@ -123,6 +113,31 @@ def test_clique_routines_answer_a_join_block_by_block(monkeypatch):
     assert graphs.clique_number(g) == 24
     clique = graphs.max_clique(g)
     assert len(clique) == 24 and brute_subset_has_clique(g, clique, 24)
+
+
+def test_the_no_p_clique_shortcut_answers_a_join_block_by_block(monkeypatch):
+    # The 48-vertex join of the previous test has clique number 24, so
+    # against (2,25) the widest class takes every vertex.  Searched whole,
+    # deciding that there is no 25-clique takes tens of seconds.
+    g = join(complete(1), complement(cycle(5)))
+    for _ in range(3):
+        g = join(g, g)
+    real = graphs._mask_has_clique
+    calls = 0
+
+    def capped(adj, mask, k):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("the no-p-clique shortcut searched the join whole")
+        return real(adj, mask, k)
+
+    monkeypatch.setattr(graphs, "_mask_has_clique", capped)
+    monkeypatch.setattr(arrowing, "_mask_has_clique", capped)
+    assert find_free_coloring(g, [2, 25]) == SearchResult(FREE, (1,) * 48, 0)
+    blocks = graphs._co_components(g.adj, (1 << g.n) - 1)
+    assert graphs._join_has_clique(g.adj, blocks, 24)
+    assert not graphs._join_has_clique(g.adj, blocks, 25)
 
 
 def test_budget_rejected_when_nonpositive():
@@ -276,7 +291,7 @@ def test_a_join_starts_no_process(monkeypatch):
              (complete(6), [3, 3]), (join(complete(1), cycle(5)), [2, 2, 2]),
              (cycle(5), [2, 2]), (cycle(7), [2, 2]), (P4, [2, 2]),
              (complement(cycle(7)), [3, 3]), (complement(cycle(9)), [3, 3, 3]),
-             (_mycielskian(cycle(5)), [2, 2, 2])]
+             (mycielskian(cycle(5)), [2, 2, 2])]
     for g, sig in cases:
         result = find_free_coloring(g, sig, jobs=1)
         assert find_free_coloring(g, sig, jobs=2) == result

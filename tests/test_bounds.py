@@ -1,7 +1,9 @@
 import re
+from collections import Counter
 
 import pytest
 
+from folkman import bounds
 from folkman.bounds import (RULE_EXISTS_FAIL, RULE_KNOWN_TABLE, RULE_MONOTONE,
                             RULE_THEOREM, KnownTable, KnownValue, base_bounds,
                             best_bounds, check_recurrences, closed_form_upper_3p,
@@ -189,6 +191,38 @@ def test_best_bounds_examples():
     assert best_bounds([2, 2, 3], 4, TABLE).lower == 14
     rec = best_bounds([3, 9], 10, TABLE)
     assert (rec.lower, rec.upper) == (22, 35)
+
+
+def test_a_table_entry_refreshes_the_composition_dp():
+    table = default_table()
+    assert best_bounds([3, 9], 10, table).upper == 35  # blocks 4+5: 13+22
+    table.add(KnownValue(normalize([3, 5]), 6, None, 21, "a tighter block"))
+    assert best_bounds([3, 9], 10, table).upper == 34
+    assert composition_bound([3, 9], 10, table).provenance[0].detail == "4+5: 13+21"
+
+
+def test_a_sweep_prices_each_block_once(monkeypatch):
+    # The DP prices block v of a prefix through the direct rules alone, as
+    # base_bounds(prefix + (v,), v + 1) with no table.
+    priced = Counter()
+    real = bounds.base_bounds
+
+    def spy(sig, q, table=None):
+        if table is None:
+            priced[sig.parts, q] += 1
+        return real(sig, q, table)
+
+    monkeypatch.setattr(bounds, "base_bounds", spy)
+    table = default_table()
+    for p in range(2, 41):
+        for sig in (normalize([3, p]), normalize([2, 2, p])):
+            for q in range(p + 1, sig.m + 2):
+                best_bounds(sig, q, table)
+    assert max(priced.values()) == 1
+    assert {(3, 40), (2, 2, 40)} <= {parts for parts, _ in priced}
+    priced.clear()
+    check_recurrences(40, table)  # the sweep already priced both families
+    assert not priced
 
 
 def _tree(rules):

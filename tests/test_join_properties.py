@@ -7,10 +7,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
 from folkman.arrowing import ARROWS, FREE, UNDECIDED, SearchResult, find_free_coloring
-from folkman.graphs import Graph, complement, complete, from_edges, join
+from folkman.graphs import Graph, complement, complete, from_edges, has_clique, join
 from folkman.signatures import normalize
 
-from conftest import coloring_is_free, naive_find_free
+from conftest import brute_subset_has_clique, coloring_is_free, naive_find_free
 
 MAX_N = 8
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -78,6 +78,14 @@ def test_joins_of_several_co_connected_parts(g, raw):
        raw_signatures)
 def test_joins_with_singleton_parts(g, raw):
     _agrees_with_the_oracle(g, raw)
+
+
+@PROPERTY
+@given(joins(st.one_of(graphs(), co_connected_graphs(), st.integers(1, 3).map(complete))))
+def test_clique_checks_of_joins(g):
+    # Singletons, one larger block or several: every branch of the check.
+    for k in range(g.n + 2):
+        assert has_clique(g, range(g.n), k) == brute_subset_has_clique(g, range(g.n), k)
 
 
 @PROPERTY

@@ -5,7 +5,8 @@ import pytest
 from folkman import graphs, witnesses
 from folkman.arrowing import (UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
                               verify_composition_instance)
-from folkman.bounds import KnownTable
+from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, best_bounds,
+                            composition_bound, default_table)
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
 from folkman.signatures import normalize
@@ -14,7 +15,7 @@ from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED,
                                format_certificate, load_external_witness,
                                parse_certificate)
 
-from conftest import coloring_is_free, naive_arrows, signatures_up_to
+from conftest import coloring_is_free, mycielskian, naive_arrows, signatures_up_to
 
 
 def test_base_witness_22_is_five_cycle():
@@ -277,6 +278,22 @@ def test_external_witness_registers_in_table(tmp_path):
     lower, upper, citations = table.combined(normalize([2, 2]), 3)
     assert upper == 5 and lower is None
     assert any("external file" in c for c in citations)
+
+
+def test_a_verified_external_witness_refreshes_the_composition_dp(tmp_path):
+    # M4 is triangle-free and 5-chromatic on 23 vertices, so it lies in
+    # H(2,2,2,2;3); no rule prices that number, which is q = m - 2.
+    table = default_table()
+    assert composition_bound([2, 2, 2, 2], 3, table).upper is None
+    assert best_bounds([2, 2, 2, 2], 3, table).upper is None
+    path = tmp_path / "m4.g6"
+    path.write_text(serialize_graph6(mycielskian(mycielskian(cycle(5)))) + "\n")
+    cert = load_external_witness(str(path), [2, 2, 2, 2], 3, table=table)
+    assert cert.status == VERIFIED
+    assert composition_bound([2, 2, 2, 2], 3, table).upper == 23
+    rec = best_bounds([2, 2, 2, 2], 3, table)
+    assert rec.upper == 23
+    assert [r.name for r in rec.provenance] == [RULE_KNOWN_TABLE, RULE_THEOREM]
 
 
 def test_certificate_round_trip():
