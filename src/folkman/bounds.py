@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable
@@ -166,9 +167,11 @@ def load_known_values(path: str | Path) -> list[KnownValue]:
     return parse_known_values(path.read_text(encoding="utf-8"), source=str(path))
 
 
-def bundled_known_values() -> list[KnownValue]:
+@cache
+def bundled_known_values() -> tuple[KnownValue, ...]:
+    """The bundled table's entries, read and checked once per process."""
     text = resources.files("folkman").joinpath("data/known_values.txt").read_text(encoding="utf-8")
-    return parse_known_values(text, source="bundled known_values.txt")
+    return tuple(parse_known_values(text, source="bundled known_values.txt"))
 
 
 def default_table(extra_path: str | Path | None = None) -> KnownTable:

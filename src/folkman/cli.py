@@ -20,7 +20,7 @@ from typing import Sequence
 from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, UNDECIDED, color_classes,
                        find_free_coloring)
 from .bounds import BoundRecord, Rule, best_bounds, closed_form_upper_3p, closed_form_upper_22p, default_table
-from .formats import GraphFormatError, read_graph_file
+from .formats import _CODECS, GraphFormatError, read_graph_file
 from .signatures import Signature, normalize
 from .witnesses import (UNVERIFIED, WitnessCertificate, base_witness, certificate_fields,
                         format_certificate, load_external_witness)
@@ -28,9 +28,6 @@ from .witnesses import (UNVERIFIED, WitnessCertificate, base_witness, certificat
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_UNDECIDED = 2
-
-_FORMAT_NAMES = {"g6": "graph6", "graph6": "graph6", "el": "edge-list", "edge-list": "edge-list"}
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on a usage error, the code for undecided here, so
@@ -76,10 +73,6 @@ def _parse_p_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _graph_format(args) -> str | None:
-    return _FORMAT_NAMES[args.format] if args.format else None
-
-
 def _emit(args, command: str, result: dict, text_lines: list[str],
           seconds: float, nodes: int | None) -> None:
     if args.json:
@@ -117,7 +110,7 @@ def _record_json(rec: BoundRecord) -> dict:
 
 
 def _cmd_arrow(args) -> int:
-    graph = read_graph_file(args.graph, _graph_format(args))
+    graph = read_graph_file(args.graph, args.format)
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     result = find_free_coloring(graph, sig, budget=_parse_budget(args.budget))
@@ -164,29 +157,16 @@ def _cmd_bound(args) -> int:
 
 def _cmd_table(args) -> int:
     ps = _parse_p_range(args.p)
+    columns = ["cor1", "cor2", "cor2_le_cor1"] if args.kind == "both" else [args.kind]
     started = time.perf_counter()
-    rows = []
+    rows, lines = [], ["p " + " ".join(columns).replace("_le_", "<=")]
     for p in ps:
-        row: dict = {"p": p}
-        if args.kind in ("cor1", "both"):
-            row["cor1"] = closed_form_upper_3p(p)
-        if args.kind in ("cor2", "both"):
-            row["cor2"] = closed_form_upper_22p(p)
-        if args.kind == "both":
-            row["cor2_le_cor1"] = row["cor2"] <= row["cor1"]
+        cor1, cor2 = closed_form_upper_3p(p), closed_form_upper_22p(p)
+        cells = {"cor1": cor1, "cor2": cor2, "cor2_le_cor1": cor2 <= cor1}
+        row = {"p": p} | {c: cells[c] for c in columns}
         rows.append(row)
+        lines.append(" ".join(json.dumps(v) for v in row.values()))  # true, not True
     seconds = time.perf_counter() - started
-    header = {"cor1": "p cor1", "cor2": "p cor2", "both": "p cor1 cor2 cor2<=cor1"}[args.kind]
-    lines = [header]
-    for row in rows:
-        cells = [str(row["p"])]
-        if "cor1" in row:
-            cells.append(str(row["cor1"]))
-        if "cor2" in row:
-            cells.append(str(row["cor2"]))
-        if "cor2_le_cor1" in row:
-            cells.append("true" if row["cor2_le_cor1"] else "false")
-        lines.append(" ".join(cells))
     _emit(args, "table", {"kind": args.kind, "rows": rows}, lines, seconds, None)
     return EXIT_OK
 
@@ -213,7 +193,7 @@ def _cmd_verify(args) -> int:
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     cert = load_external_witness(args.graph, sig, args.q, budget=_parse_budget(args.budget),
-                                 fmt=_graph_format(args))
+                                 fmt=args.format)
     return _emit_certificate(args, "verify", cert, time.perf_counter() - started)
 
 
@@ -231,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arrow.add_argument("--sig", required=True, help="comma-separated signature, e.g. 2,2")
     p_arrow.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                          help="search-node budget (0 = unlimited; default 1e8)")
-    p_arrow.add_argument("--format", choices=sorted(_FORMAT_NAMES),
+    p_arrow.add_argument("--format", choices=sorted(_CODECS),
                          help="override the format inferred from the extension")
     add_common(p_arrow)
     p_arrow.set_defaults(handler=_cmd_arrow)
@@ -263,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--sig", required=True)
     p_verify.add_argument("--q", type=int, required=True)
     p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--format", choices=sorted(_FORMAT_NAMES))
+    p_verify.add_argument("--format", choices=sorted(_CODECS))
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

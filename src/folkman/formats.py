@@ -4,24 +4,22 @@ graph6 is the standard dense ASCII encoding (printable bytes 63..126, no
 header line).  The edge-list format is a header line ``n <count>`` followed
 by one ``u v`` pair per line; blank lines and ``#`` comments are tolerated
 on input.
+
+Each decoder reads its text once, straight into adjacency rows, and checks
+only the text, naming line and offset; `Graph` alone checks the rows.
+`_CODECS` maps every format name to its codec.
 """
 
 from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
-from .graphs import MAX_VERTICES, Graph, from_edges
+from .graphs import MAX_VERTICES, Graph
 
 FORMAT_GRAPH6 = "graph6"
 FORMAT_EDGE_LIST = "edge-list"
-
-_EXTENSIONS = {
-    ".g6": FORMAT_GRAPH6,
-    ".graph6": FORMAT_GRAPH6,
-    ".el": FORMAT_EDGE_LIST,
-    ".edges": FORMAT_EDGE_LIST,
-}
 
 
 class GraphFormatError(ValueError):
@@ -39,10 +37,6 @@ class GraphFormatError(ValueError):
         self.offset = offset
 
 
-def _g6_char(value: int) -> str:
-    return chr(value + 63)
-
-
 def _g6_val(ch: str, offset: int) -> int:
     b = ord(ch)
     if not 63 <= b <= 126:
@@ -50,48 +44,40 @@ def _g6_val(ch: str, offset: int) -> int:
     return b - 63
 
 
+# The graph6 body lists the pairs (i, j), i < j, column by column, lowest i
+# first, six to a byte, most significant bit first: column j is the low j bits
+# of row j, lowest vertex first.  Both codecs hold the body as one integer whose
+# bit t is its t-th bit, which is its string of binary digits reversed.
+_G6_DIGITS = {b: format(b - 63, "06b") for b in range(63, 127)}
+_G6_BYTES = {digits: chr(b) for b, digits in _G6_DIGITS.items()}
+
+
 def serialize_graph6(g: Graph) -> str:
     n = g.n
-    if n <= 62:
-        head = _g6_char(n)
-    else:
-        head = "~" + "".join(_g6_char((n >> shift) & 0x3F) for shift in (12, 6, 0))
-    bits = []
-    for j in range(1, n):
-        for i in range(j):
-            bits.append((g.adj[i] >> j) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    chars = []
-    for k in range(0, len(bits), 6):
-        val = 0
-        for b in bits[k : k + 6]:
-            val = (val << 1) | b
-        chars.append(_g6_char(val))
-    return head + "".join(chars)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 0x3F) + 63) for s in (12, 6, 0))
+    body = start = 0
+    for j, row in enumerate(g.adj):
+        body |= (row & ((1 << j) - 1)) << start
+        start += j
+    width = (start + 5) // 6 * 6
+    digits = format(body, f"0{width}b")[::-1]
+    return head + "".join([_G6_BYTES[digits[k : k + 6]] for k in range(0, width, 6)])
 
 
 def parse_graph6(text: str) -> Graph:
-    s = text.strip()
-    if s.startswith(">>graph6<<"):
-        s = s[len(">>graph6<<") :]
+    s = text.strip().removeprefix(">>graph6<<")
     if not s:
         raise GraphFormatError("empty graph6 string", line=1)
     if s.startswith(":"):
         raise GraphFormatError("sparse6 strings are not supported, expected dense graph6", line=1)
-    pos = 0
     if s[0] == "~":
         if len(s) >= 2 and s[1] == "~":
             raise GraphFormatError("graph6 long-long vertex counts exceed the width cap", line=1)
         if len(s) < 4:
             raise GraphFormatError("truncated graph6 vertex count", line=1)
-        n = 0
-        for pos in range(1, 4):
-            n = (n << 6) | _g6_val(s[pos], pos)
-        pos = 4
+        n, pos = _g6_val(s[1], 1) << 12 | _g6_val(s[2], 2) << 6 | _g6_val(s[3], 3), 4
     else:
-        n = _g6_val(s[0], 0)
-        pos = 1
+        n, pos = _g6_val(s[0], 0), 1
     if n > MAX_VERTICES:
         raise GraphFormatError(f"graph on {n} vertices exceeds the width cap {MAX_VERTICES}", line=1)
     nbits = n * (n - 1) // 2
@@ -107,20 +93,22 @@ def parse_graph6(text: str) -> Graph:
             line=1,
             offset=pos + nchars,
         )
-    bits = []
-    for k, ch in enumerate(body):
-        val = _g6_val(ch, pos + k)
-        bits.extend((val >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[nbits:]):
+    digits = body.translate(_G6_DIGITS)
+    if len(digits) != 6 * nchars:  # a byte outside the range is left as one character
+        for k, ch in enumerate(body):
+            _g6_val(ch, pos + k)
+    bits = int(digits[::-1] or "0", 2)
+    if bits >> nbits:
         raise GraphFormatError("nonzero padding bits in graph6 body", line=1)
-    edges = []
-    idx = 0
+    rows = [0] * n
     for j in range(1, n):
-        for i in range(j):
-            if bits[idx]:
-                edges.append((i, j))
-            idx += 1
-    return from_edges(n, edges)
+        column = rows[j] = bits & ((1 << j) - 1)
+        bits >>= j
+        while column:
+            low = column & -column
+            rows[low.bit_length() - 1] |= 1 << j
+            column ^= low
+    return Graph(n, tuple(rows))
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -131,7 +119,7 @@ def serialize_edge_list(g: Graph) -> str:
 
 def parse_edge_list(text: str) -> Graph:
     n = None
-    edges = []
+    rows: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -148,6 +136,7 @@ def parse_edge_list(text: str) -> Graph:
                 raise GraphFormatError(f"negative vertex count {n}", line=lineno)
             if n > MAX_VERTICES:
                 raise GraphFormatError(f"vertex count {n} exceeds the width cap {MAX_VERTICES}", line=lineno)
+            rows = [0] * n
             continue
         if len(tokens) != 2:
             raise GraphFormatError(f"expected 'u v' edge pair, got {raw!r}", line=lineno)
@@ -159,35 +148,51 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"vertex out of range 0..{n - 1} in edge ({u}, {v})", line=lineno)
         if u == v:
             raise GraphFormatError(f"loop at vertex {u} not allowed", line=lineno)
-        edges.append((u, v))
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
     if n is None:
         raise GraphFormatError("missing 'n <count>' header line")
-    return from_edges(n, edges)
+    return Graph(n, tuple(rows))
+
+
+class _Codec(NamedTuple):
+    name: str
+    parse: Callable[[str], Graph]
+    serialize: Callable[[Graph], str]
+
+
+_GRAPH6 = _Codec(FORMAT_GRAPH6, parse_graph6, serialize_graph6)
+_EDGE_LIST = _Codec(FORMAT_EDGE_LIST, parse_edge_list, serialize_edge_list)
+
+# Every name a format goes by; each but "edge-list" is also a file extension.
+_CODECS = {"g6": _GRAPH6, "graph6": _GRAPH6, "el": _EDGE_LIST, "edges": _EDGE_LIST,
+           "edge-list": _EDGE_LIST}
+
+
+def _codec(fmt: str) -> _Codec:
+    try:
+        return _CODECS[fmt]
+    except KeyError:
+        raise ValueError(f"unknown graph format {fmt!r}") from None
 
 
 def serialize_graph(g: Graph, fmt: str) -> str:
-    if fmt == FORMAT_GRAPH6:
-        return serialize_graph6(g)
-    if fmt == FORMAT_EDGE_LIST:
-        return serialize_edge_list(g)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _codec(fmt).serialize(g)
 
 
 def parse_graph(text: str, fmt: str) -> Graph:
-    if fmt == FORMAT_GRAPH6:
-        return parse_graph6(text)
-    if fmt == FORMAT_EDGE_LIST:
-        return parse_edge_list(text)
-    raise ValueError(f"unknown graph format {fmt!r}")
+    return _codec(fmt).parse(text)
 
 
 def format_for_path(path: str) -> str | None:
     """Guess the format from a file extension, or None if unknown."""
-    return _EXTENSIONS.get(Path(path).suffix.lower())
+    ext = Path(path).suffix.lower()[1:]
+    return _CODECS[ext].name if ext in _CODECS and ext != "edge-list" else None
 
 
 def read_graph_file(path: str, fmt: str | None = None) -> Graph:
-    """Read a graph from a file, or from standard input when path is '-'."""
+    """Read a graph from a file, or from standard input when path is '-'.
+    `fmt` is any name in `_CODECS`; by default the file's extension names it."""
     if path == "-":
         if fmt is None:
             raise ValueError("reading from stdin requires an explicit format")

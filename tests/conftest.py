@@ -10,7 +10,8 @@ from __future__ import annotations
 import random
 from itertools import combinations, product
 
-from folkman.graphs import Graph, from_edges
+from folkman.formats import GraphFormatError
+from folkman.graphs import MAX_VERTICES, Graph, from_edges
 
 
 def brute_clique_number(g: Graph) -> int:
@@ -50,6 +51,114 @@ def scan_adjacency(n: int, adj) -> None:
             rest &= rest - 1
             if not (adj[u] >> v) & 1:
                 raise ValueError(f"adjacency not symmetric at ({v}, {u})")
+
+
+def graph6_encode_oracle(g: Graph) -> str:
+    """graph6 by the letter of the format: the upper triangle as a list of
+    bits, column by column, packed six to a byte."""
+    n = g.n
+    if n <= 62:
+        head = chr(n + 63)
+    else:
+        head = "~" + "".join(chr(((n >> shift) & 0x3F) + 63) for shift in (12, 6, 0))
+    bits = [(g.adj[i] >> j) & 1 for j in range(1, n) for i in range(j)]
+    bits += [0] * (-len(bits) % 6)
+    chars = []
+    for k in range(0, len(bits), 6):
+        val = 0
+        for b in bits[k : k + 6]:
+            val = (val << 1) | b
+        chars.append(chr(val + 63))
+    return head + "".join(chars)
+
+
+def _g6_oracle_val(ch: str, offset: int) -> int:
+    b = ord(ch)
+    if not 63 <= b <= 126:
+        raise GraphFormatError(f"byte {b!r} outside graph6 range 63..126", line=1, offset=offset)
+    return b - 63
+
+
+def graph6_decode_oracle(text: str) -> Graph:
+    """Per-bit graph6 decoder: the body as a list of bits, then an edge list
+    for `from_edges`; raises what `parse_graph6` must raise, in its order."""
+    s = text.strip()
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<") :]
+    if not s:
+        raise GraphFormatError("empty graph6 string", line=1)
+    if s.startswith(":"):
+        raise GraphFormatError("sparse6 strings are not supported, expected dense graph6", line=1)
+    if s[0] == "~":
+        if len(s) >= 2 and s[1] == "~":
+            raise GraphFormatError("graph6 long-long vertex counts exceed the width cap", line=1)
+        if len(s) < 4:
+            raise GraphFormatError("truncated graph6 vertex count", line=1)
+        n = 0
+        for pos in range(1, 4):
+            n = (n << 6) | _g6_oracle_val(s[pos], pos)
+        pos = 4
+    else:
+        n = _g6_oracle_val(s[0], 0)
+        pos = 1
+    if n > MAX_VERTICES:
+        raise GraphFormatError(f"graph on {n} vertices exceeds the width cap {MAX_VERTICES}", line=1)
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    body = s[pos:]
+    if len(body) < nchars:
+        raise GraphFormatError(
+            f"graph6 body too short: need {nchars} bytes for {n} vertices, got {len(body)}", line=1)
+    if len(body) > nchars:
+        raise GraphFormatError(f"trailing junk after graph6 body ({len(body) - nchars} extra bytes)",
+                               line=1, offset=pos + nchars)
+    bits = []
+    for k, ch in enumerate(body):
+        val = _g6_oracle_val(ch, pos + k)
+        bits.extend((val >> shift) & 1 for shift in (5, 4, 3, 2, 1, 0))
+    if any(bits[nbits:]):
+        raise GraphFormatError("nonzero padding bits in graph6 body", line=1)
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    return from_edges(n, [pair for pair, bit in zip(pairs, bits) if bit])
+
+
+def edge_list_decode_oracle(text: str) -> Graph:
+    """Edge-list decoder that collects the pairs for `from_edges`; raises
+    what `parse_edge_list` must raise, in its order."""
+    n = None
+    edges = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        if n is None:
+            if tokens[0] != "n" or len(tokens) != 2:
+                raise GraphFormatError(f"expected header 'n <count>', got {raw!r}", line=lineno)
+            try:
+                n = int(tokens[1])
+            except ValueError:
+                raise GraphFormatError(f"vertex count {tokens[1]!r} is not an integer", line=lineno)
+            if n < 0:
+                raise GraphFormatError(f"negative vertex count {n}", line=lineno)
+            if n > MAX_VERTICES:
+                raise GraphFormatError(f"vertex count {n} exceeds the width cap {MAX_VERTICES}",
+                                       line=lineno)
+            continue
+        if len(tokens) != 2:
+            raise GraphFormatError(f"expected 'u v' edge pair, got {raw!r}", line=lineno)
+        try:
+            u, v = int(tokens[0]), int(tokens[1])
+        except ValueError:
+            raise GraphFormatError(f"non-integer vertex in {raw!r}", line=lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"vertex out of range 0..{n - 1} in edge ({u}, {v})", line=lineno)
+        if u == v:
+            raise GraphFormatError(f"loop at vertex {u} not allowed", line=lineno)
+        edges.append((u, v))
+    if n is None:
+        raise GraphFormatError("missing 'n <count>' header line")
+    return from_edges(n, edges)
 
 
 def coloring_is_free(g: Graph, parts, coloring) -> bool:

@@ -447,3 +447,29 @@ def test_env_table_override(tmp_path, monkeypatch):
     monkeypatch.setenv("FOLKMAN_TABLE", str(extra))
     table = default_table()
     assert table.combined(normalize([4, 4]), 6)[1] == 30
+
+
+def test_bundled_table_is_parsed_once(monkeypatch):
+    sources = []
+
+    def spy(text, source="<string>"):
+        sources.append(source)
+        return parse_known_values(text, source)
+
+    monkeypatch.setattr(bounds, "parse_known_values", spy)
+    bounds.bundled_known_values.cache_clear()
+    for _ in range(3):
+        default_table()
+        best_bounds([3, 9], 10)
+    check_recurrences(12)
+    assert sources == ["bundled known_values.txt"]
+    assert bounds.bundled_known_values() is bounds.bundled_known_values()
+
+
+def test_default_table_is_fresh_per_call():
+    sig = normalize([3, 5])
+    table = default_table()
+    table.add(KnownValue(sig, 6, None, 21, "local experiment"))
+    assert table.combined(sig, 6)[1] == 21
+    assert default_table().combined(sig, 6) == (None, None, [])
+    assert best_bounds(sig, 6).upper == 22

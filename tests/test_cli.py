@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import folkman
 from folkman.cli import main
-from folkman.formats import serialize_edge_list, serialize_graph6
+from folkman.formats import _CODECS, serialize_edge_list, serialize_graph, serialize_graph6
 from folkman.graphs import complement, complete, cycle, from_edges, join
 from folkman.witnesses import parse_certificate
 
@@ -133,6 +134,17 @@ def test_arrow_stdin_requires_format(capsys):
     code, _, err = run_cli(capsys, ["arrow", "--graph", "-", "--sig", "2,2"])
     assert code == 1
     assert "format" in err
+
+
+def test_arrow_stdin_accepts_every_format_name(capsys, monkeypatch):
+    for name in _CODECS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(serialize_graph(cycle(5), name)))
+        code, out, _ = run_cli(capsys, ["arrow", "--graph", "-", "--format", name, "--sig", "2,2"])
+        assert (code, out) == (0, "arrows: true\n"), name
+    monkeypatch.setattr("sys.stdin", io.StringIO("Dhc\n"))
+    code, _, err = run_cli(capsys, ["arrow", "--graph", "-", "--format", "dot", "--sig", "2,2"])
+    assert code == 1
+    assert "invalid choice: 'dot'" in err
 
 
 def test_signature_normalization_notice(capsys, c5_path):

@@ -1,5 +1,6 @@
 """Property tests on graphs of up to 64 vertices: adjacency validation
-against the per-bit scan in conftest, and the graph6 and edge-list codecs."""
+against the per-bit scan in conftest, and the graph6 and edge-list codecs,
+also against the bit-list and edge-list oracles there."""
 
 import pytest
 
@@ -10,7 +11,8 @@ from folkman.formats import (GraphFormatError, parse_edge_list, parse_graph6,
                              serialize_edge_list, serialize_graph6)
 from folkman.graphs import MAX_VERTICES, Graph
 
-from conftest import scan_adjacency
+from conftest import (edge_list_decode_oracle, graph6_decode_oracle, graph6_encode_oracle,
+                      scan_adjacency)
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True)
 
@@ -105,3 +107,84 @@ def test_arbitrary_text_raises_only_format_errors(text):
             assert isinstance(exc, GraphFormatError) or type(exc) is ValueError
         else:
             assert isinstance(g, Graph)
+
+
+@PROPERTY
+@given(graphs())
+def test_graph6_encoding_matches_the_bit_list_oracle(g):
+    assert serialize_graph6(g) == graph6_encode_oracle(g)
+
+
+@st.composite
+def damaged_graph6(draw) -> str:
+    """The graph6 text of a random graph with up to three bytes replaced,
+    inserted or deleted; "last" replaces the last byte, which holds any
+    padding bits."""
+    text = list(serialize_graph6(draw(graphs())))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(text)))
+        ch = chr(draw(st.one_of(st.integers(63, 126), st.integers(0, 300))))
+        kind = draw(st.sampled_from(["replace", "last", "insert", "delete"]))
+        if kind == "last" and text:
+            text[-1] = ch
+        elif kind == "insert" or k == len(text):
+            text.insert(k, ch)
+        elif kind == "replace":
+            text[k] = ch
+        else:
+            del text[k]
+    return "".join(text)
+
+
+EDGE_LIST_TOKENS = st.one_of(st.integers(-2, MAX_VERTICES + 2).map(str),
+                             st.sampled_from(["n", "x", "#", "1.0", "+3", "", "0 1", "1 1", "n 3"]))
+
+
+@st.composite
+def damaged_edge_lists(draw) -> str:
+    """The edge list of a random graph with up to three lines added, changed
+    or dropped."""
+    lines = serialize_edge_list(draw(graphs())).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from(["add", "change", "drop"]))
+        if kind == "add" or k == len(lines):
+            lines.insert(k, " ".join(draw(st.lists(EDGE_LIST_TOKENS, min_size=0, max_size=3))))
+        elif kind == "change":
+            tokens = lines[k].split() or [""]
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(EDGE_LIST_TOKENS)
+            lines[k] = " ".join(tokens)
+        else:
+            del lines[k]
+    return "\n".join(lines)
+
+
+def _decoded(parse, text):
+    """The graph, or the error's type, message, line and offset."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "offset", None)
+
+
+@PROPERTY
+@given(st.one_of(damaged_graph6(), st.text(), GRAPH6_TEXT))
+@example("~??~")
+@example("~~")
+@example(">>graph6<<")
+@example(" >>graph6<<Dhc\n")
+@example("A" + chr(63 + 0b100001))
+@example("A" + chr(63 + 0b010000))
+@example("D" + chr(20) + chr(300))
+def test_graph6_decodes_as_the_bit_list_oracle(text):
+    assert _decoded(parse_graph6, text) == _decoded(graph6_decode_oracle, text)
+
+
+@PROPERTY
+@given(st.one_of(damaged_edge_lists(), st.text(), EDGE_LIST_TEXT))
+@example("n 3\n0 1\n1 0\n")
+@example("n 3\n0 3\n1 1\n")
+@example("n 3\n1 1\n0 3\n")
+@example("# none\n")
+def test_edge_list_decodes_as_the_from_edges_oracle(text):
+    assert _decoded(parse_edge_list, text) == _decoded(edge_list_decode_oracle, text)
