@@ -12,12 +12,19 @@ whole.  Every search runs in the calling process.
 A part's search, `_extend`, assigns colors vertex by vertex in smallest-last
 order (`_vertex_order`), prunes a branch as soon as a class would acquire its
 forbidden clique, and breaks symmetry among colors with equal caps by
-first-use order.  "Arrows" is only reported after the pruned tree is
-provably exhausted; a free coloring is returned as a concrete
-counterexample otherwise.  Node budgets make "undecided" a first-class
-outcome rather than an open-ended run: a used-up budget raises
-BudgetExceededError out of the search, and `find_free_coloring` reports it
-as undecided.
+first-use order.  A part whose caps are all 2 asks only for a proper
+r-coloring, and `_color` decides it with forward checking (Haralick &
+Elliott 1980) on bitset domains: class c's forbidden set is the union of
+its vertices' neighbour rows, a vertex with no color left prunes the branch
+at once, and a vertex with one color left, or else two as in DSATUR
+(Brelaz 1979), is colored before the next in smallest-last order.  The same
+symmetry rule and node budget apply.
+
+"Arrows" is only reported after the pruned tree is provably exhausted; a
+free coloring is returned as a concrete counterexample otherwise.  Node
+budgets make "undecided" a first-class outcome rather than an open-ended
+run: a used-up budget raises BudgetExceededError out of the search, and
+`find_free_coloring` reports it as undecided.
 """
 
 from __future__ import annotations
@@ -98,6 +105,65 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
         if _extend(adj, parts, order, pos + 1, masks, budget):
             return True  # keep masks intact: they hold the coloring
         masks[c] &= ~vbit
+    return False
+
+
+def _color_block(adj: tuple[int, ...], r: int, order: Sequence[int], masks: list[int],
+                 budget: _Budget) -> bool:
+    """`_extend` for caps that are all 2: True iff the vertices of `order`
+    have a proper r-coloring, which the r zeroed `masks` then hold.
+
+    The search runs on the order's positions, so bit i is order[i] and the
+    lowest bit of a set is its earliest vertex in smallest-last order."""
+    bits = [1 << i for i in range(len(order))]
+    rows = [sum([bit for u, bit in zip(order, bits) if adj[v] >> u & 1]) for v in order]
+    if not _color(rows, bits[-1] * 2 - 1, masks, [0] * r, 0, budget):
+        return False
+    for c, mask in enumerate(masks):
+        masks[c] = sum([1 << v for v, bit in zip(order, bits) if mask & bit])
+    return True
+
+
+def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: int,
+           budget: _Budget) -> bool:
+    """True iff the vertices in `left` can be colored on top of `masks`, the
+    first `used` of which are nonempty; `forb[c]` is the union of the rows
+    of class c, the vertices it can no longer take.
+
+    Only the first empty class may open, so a vertex's colors left are
+    those classes c < used whose `forb` misses it, plus one if a class is
+    still empty.  Bit-sliced ORs over them give the vertices with at least
+    one, two and three colors left."""
+    if not left:
+        return True
+    r = len(masks)
+    one = left if used < r else 0
+    two = three = 0
+    for c in range(used):
+        free = left & ~forb[c]
+        three |= two & free
+        two |= one & free
+        one |= free
+    if left & ~one:
+        return False  # a vertex with no color left
+    # A vertex with one color left, else two, else the next in the order.
+    pick = one & ~two or two & ~three or left
+    vbit = pick & -pick
+    row = rows[vbit.bit_length() - 1]
+    left ^= vbit
+    for c in range(used + 1 if used < r else r):
+        f = forb[c]
+        if f & vbit:
+            continue
+        if budget.nodes == budget.limit:
+            raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
+        budget.nodes += 1
+        masks[c] |= vbit
+        forb[c] = f | row
+        if _color(rows, left, masks, forb, used + (c == used), budget):
+            return True  # keep masks intact: they hold the coloring
+        masks[c] ^= vbit
+        forb[c] = f
     return False
 
 
@@ -212,7 +278,13 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         key = (big[j], caps)
         if key not in decided:
             masks = [0] * len(caps)
-            decided[key] = masks if _extend(adj, caps, orders[j], 0, masks, bud) else None
+            # Caps ascend, so a last cap of 2 asks for a proper coloring.
+            # No caps at all stay with `_extend`: no coloring, at no node.
+            if caps and caps[-1] == 2:
+                ok = _color_block(adj, len(caps), orders[j], masks, bud)
+            else:
+                ok = _extend(adj, caps, orders[j], 0, masks, bud)
+            decided[key] = masks if ok else None
         found = decided[key]
         if found is None:
             return None

@@ -229,6 +229,47 @@ def test_the_hard_stock_witness_8_11_stays_cheap():
     assert find_free_coloring(witness, [8, 11], budget=60_000).verdict == ARROWS
 
 
+def _no_all_2_extend(monkeypatch):
+    """Make `_extend` fail on any decision whose caps are all 2."""
+    real = arrowing._extend
+
+    def spy(adj, parts, *rest):
+        assert not parts or parts[-1] > 2, f"caps {parts} reached _extend"
+        return real(adj, parts, *rest)
+
+    monkeypatch.setattr(arrowing, "_extend", spy)
+
+
+def test_mycielski_m4_arrows_2222_cheaply(monkeypatch):
+    # M4 is 5-chromatic.  Vertex by vertex it takes 106,352 nodes; with
+    # forward checking it takes a few thousand.
+    _no_all_2_extend(monkeypatch)
+    m4 = mycielskian(mycielskian(cycle(5)))
+    assert find_free_coloring(m4, [2, 2, 2, 2], budget=10_000).verdict == ARROWS
+
+
+def test_the_coloring_budget_stops_at_exactly_its_nodes():
+    grotzsch = mycielskian(cycle(5))  # 4-chromatic
+    for parts, verdict in (([2, 2, 2], ARROWS), ([2, 2, 2, 2], FREE)):
+        full = find_free_coloring(grotzsch, parts, budget=None)
+        assert full.verdict == verdict and full.nodes > 1
+        assert (find_free_coloring(grotzsch, parts, budget=full.nodes - 1)
+                == SearchResult(UNDECIDED, None, full.nodes - 1))
+        assert find_free_coloring(grotzsch, parts, budget=full.nodes) == full
+
+
+def test_a_zero_share_is_no_coloring_at_no_node(monkeypatch):
+    # The K_k of join(K_k, C5) takes all of (2,)*k's room, so the C5 block
+    # gets no cap at all: no coloring, and no node searched.
+    def no_coloring_search(*args):
+        raise AssertionError("a zero share searched for a coloring")
+
+    monkeypatch.setattr(arrowing, "_color_block", no_coloring_search)
+    for k in (2, 3):
+        g = join(complete(k), cycle(5))
+        assert find_free_coloring(g, [2] * k) == SearchResult(ARROWS, None, 0)
+
+
 def test_oracle_equivalence_small():
     rng = random.Random(1001)
     sigs = signatures_up_to(3, 6)
@@ -270,13 +311,28 @@ def test_color_permutation_invariance():
         assert arrows(g, parts) == arrows(g, shuffled)
 
 
-def test_chromatic_correspondence():
+def test_chromatic_correspondence(monkeypatch):
+    # G arrows (2,)*r iff chi(G) > r, decided by the coloring path alone.
+    _no_all_2_extend(monkeypatch)
     rng = random.Random(4004)
-    for _ in range(80):
-        n = rng.randint(1, 8)
-        g = random_graph(rng, n, rng.random())
-        r = rng.randint(2, 4)
-        assert arrows(g, [2] * r) == (not properly_colorable(g, r))
+    graphs_ = [random_graph(rng, rng.randint(0, 11), rng.random()) for _ in range(120)]
+    for _ in range(40):
+        n1 = rng.randint(1, 6)
+        graphs_.append(join(random_graph(rng, n1, rng.random()),
+                            random_graph(rng, rng.randint(1, 11 - n1), rng.random())))
+    for g in graphs_:
+        for r in range(2, 6):
+            parts = (2,) * r
+            result = find_free_coloring(g, parts)
+            assert result.verdict == (FREE if properly_colorable(g, r) else ARROWS)
+            if r ** g.n <= 4096:
+                assert (result.verdict == ARROWS) == naive_arrows(g, parts)
+            if result.verdict == FREE:
+                assert coloring_is_free(g, parts, result.coloring)
+    c5c5 = join(cycle(5), cycle(5))  # chi = 6; each C5 block gets all-2 caps
+    assert find_free_coloring(c5c5, [2] * 5).verdict == ARROWS
+    result = find_free_coloring(c5c5, [2] * 6)
+    assert result.verdict == FREE and coloring_is_free(c5c5, (2,) * 6, result.coloring)
 
 
 def test_a_join_starts_no_process(monkeypatch):
