@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Sequence
@@ -259,6 +260,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         build_parser().parse_args(argv, namespace=args)
         return args.handler(args)
+    except BrokenPipeError:
+        # The reader of stdout left early, as `| head` does: stop quietly.
+        # stdout still holds what it could not write, so its descriptor is
+        # pointed at the null device, where the flush at exit cannot fail.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ERROR
     except (GraphFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         _emit(args, args.command, {"error": str(exc)}, [], time.perf_counter() - started, None)

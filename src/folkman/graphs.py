@@ -154,17 +154,44 @@ def complement(g: Graph) -> Graph:
 
 
 def _mask_has_clique(adj: tuple[int, ...], mask: int, k: int) -> bool:
-    """True iff the vertices in `mask` contain a k-clique."""
-    if k <= 0:
+    """True iff the vertices in `mask` contain a k-clique.
+
+    The lowest vertex v is branched on first.  Once no k-clique goes through
+    v, only v's non-neighbours in `mask` are branched on, each dropped after
+    its branch fails: a k-clique that avoids all of them lies inside N(v),
+    and swapping any of its vertices for v gives a k-clique through v.  This
+    is the pivot of Bron & Kerbosch (1973) in the form of Tomita, Tanaka &
+    Takahashi (2006), asked a yes/no question.  k = 2 takes one AND per
+    vertex, and a branch with fewer than k - 1 candidates is never entered.
+    """
+    if k <= 2:
+        if k <= 1:
+            return k <= 0 or mask != 0
+        while mask:
+            v = (mask & -mask).bit_length() - 1
+            mask &= mask - 1
+            if adj[v] & mask:
+                return True
+        return False
+    if mask.bit_count() < k:
+        return False
+    k -= 1  # the vertices a branch must find among its candidates
+    # v's branch is taken before the loop: a call that finds a clique mostly
+    # finds it there, and never needs v's non-neighbours.
+    row = adj[(mask & -mask).bit_length() - 1]
+    mask &= mask - 1
+    cand = mask & row
+    if cand.bit_count() >= k and _mask_has_clique(adj, cand, k):
         return True
-    if k == 1:
-        return mask != 0
-    while mask:
-        if mask.bit_count() < k:
+    branch = mask & ~row
+    while branch:
+        if mask.bit_count() <= k:
             return False
-        v = (mask & -mask).bit_length() - 1
-        mask &= mask - 1
-        if _mask_has_clique(adj, mask & adj[v], k - 1):
+        bit = branch & -branch
+        branch ^= bit
+        mask ^= bit
+        cand = mask & adj[bit.bit_length() - 1]
+        if cand.bit_count() >= k and _mask_has_clique(adj, cand, k):
             return True
     return False
 

@@ -229,6 +229,35 @@ def test_the_hard_stock_witness_8_11_stays_cheap():
     assert find_free_coloring(witness, [8, 11], budget=60_000).verdict == ARROWS
 
 
+# The arrowing instances of the benchmark's search corpus, the q = m stock
+# witnesses and M4, with their node counts and those of the free instances
+# made by raising one part.  Only a change of tree shape may move these: a
+# faster clique check must leave every count as it is.
+SEARCH_CORPUS_NODES = {
+    (3, 3, 4): (229, {(3, 4, 4): 14, (3, 3, 5): 19}),
+    (4, 4, 4): (229, {(4, 4, 5): 14}),
+    (3, 3, 5): (867, {(3, 4, 5): 25, (3, 3, 6): 21}),
+    (4, 4, 5): (867, {(4, 5, 5): 16, (4, 4, 6): 16}),
+    (5, 8): (3027, {(6, 8): 26, (5, 9): 26}),
+    (6, 9): (6606, {(7, 9): 30, (6, 10): 28}),
+    (2, 2, 2, 2): (2528, {(2, 2, 2, 3): 0}),
+}
+
+
+def test_the_search_corpus_keeps_its_tree_shape():
+    for parts, (nodes, raised) in SEARCH_CORPUS_NODES.items():
+        if parts == (2, 2, 2, 2):
+            g = mycielskian(mycielskian(cycle(5)))
+        else:
+            sig = normalize(parts)
+            g = join(complete(sig.m - sig.p - 1), complement(cycle(2 * sig.p + 1)))
+        assert find_free_coloring(g, parts) == SearchResult(ARROWS, None, nodes), parts
+        for free_parts, free_nodes in raised.items():
+            result = find_free_coloring(g, free_parts)
+            assert (result.verdict, result.nodes) == (FREE, free_nodes), free_parts
+            assert coloring_is_free(g, free_parts, result.coloring)
+
+
 def _no_all_2_extend(monkeypatch):
     """Make `_extend` fail on any decision whose caps are all 2."""
     real = arrowing._extend

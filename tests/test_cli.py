@@ -306,6 +306,20 @@ def test_errors_under_json_emit_an_envelope(capsys):
     assert record["result"] == {"error": err.strip()[len("error: "):]}
 
 
+def test_a_closed_pipe_ends_the_command_quietly(capsys, monkeypatch, tmp_path):
+    # As in `folkman table ... --json | head -1`: the reader is gone, so
+    # there is no envelope to print and nothing to say on stderr.
+    class ClosedPipe(io.FileIO):
+        def write(self, data):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    with ClosedPipe(tmp_path / "stdout", "w") as pipe:
+        monkeypatch.setattr(sys, "stdout", pipe)
+        assert main(["table", "--kind", "both", "--p", "4..40", "--json"]) == 1
+        assert os.path.samestat(os.fstat(pipe.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
+
+
 def test_module_entry_point(c5_path):
     # The child interpreter imports the same package this test process does.
     src = str(Path(folkman.__file__).resolve().parents[1])

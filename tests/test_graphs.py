@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from folkman import graphs
 from folkman.graphs import (MAX_VERTICES, Graph, clique_number, complement,
                             complete, cycle, from_edges, has_clique, join,
                             max_clique)
@@ -139,6 +140,39 @@ def test_has_clique_matches_brute_force():
         verts = [v for v in range(g.n) if rng.random() < 0.6]
         k = rng.randint(0, 4 if i < 200 else 8)
         assert has_clique(g, verts, k) == brute_subset_has_clique(g, verts, k)
+
+
+def test_mask_has_clique_matches_brute_force():
+    # Dense graphs, subsets of co-C_{2p+1}, and graphs whose lowest vertex
+    # is universal, where the pivot leaves a single branch.
+    rng = random.Random(1973)
+    cases = [random_graph(rng, rng.randint(0, 14), rng.uniform(0.5, 0.95)) for _ in range(150)]
+    cases += [complement(cycle(2 * p + 1)) for p in range(1, 7) for _ in range(10)]
+    cases += [join(complete(1), random_graph(rng, rng.randint(0, 12), rng.random()))
+              for _ in range(60)]
+    for g in cases:
+        verts = [v for v in range(g.n) if rng.random() < 0.8]
+        mask = sum(1 << v for v in verts)
+        for k in range(9):
+            assert (graphs._mask_has_clique(g.adj, mask, k)
+                    == brute_subset_has_clique(g, verts, k)), (g, verts, k)
+
+
+def test_the_pivot_rules_out_a_clique_of_co_c33_in_few_calls(monkeypatch):
+    # co-C33 has clique number 16.  Branching on every vertex takes 98,304
+    # calls to rule out a 17-clique; branching only on the lowest vertex and
+    # its non-neighbours takes 4,179.
+    real = graphs._mask_has_clique
+    calls = 0
+
+    def counted(adj, mask, k):
+        nonlocal calls
+        calls += 1
+        return real(adj, mask, k)
+
+    monkeypatch.setattr(graphs, "_mask_has_clique", counted)
+    assert not has_clique(complement(cycle(33)), range(33), 17)
+    assert calls <= 5000
 
 
 def test_complement():
