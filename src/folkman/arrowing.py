@@ -16,9 +16,19 @@ first-use order.  A part whose caps are all 2 asks only for a proper
 r-coloring, and `_color` decides it with forward checking (Haralick &
 Elliott 1980) on bitset domains: class c's forbidden set is the union of
 its vertices' neighbour rows, a vertex with no color left prunes the branch
-at once, and a vertex with one color left, or else two as in DSATUR
-(Brelaz 1979), is colored before the next in smallest-last order.  The same
-symmetry rule and node budget apply.
+at once, and a vertex with one color left, or else one of those with two
+left that has the most uncolored neighbours, as in DSATUR (Brelaz 1979), is
+colored before the next in smallest-last order.  The same symmetry rule and
+node budget apply.
+
+A part whose complement is one path or one cycle, such as the co-C_{2p+1}
+of every stock witness, is found by `_co_walk` and searched in the labels
+of that walk, on the cached rows and order of the canonical co-P_n or co-C_n
+(`_walk_search`); a free coloring is mapped back.  Its clique check is closed
+form: a clique of co-C_n is an independent set of C_n, so a set's clique
+number is the sum of ceil(len/2) over its runs along the cycle.  The search
+of such a part is therefore the same under every labelling of the input.
+Every other part keeps its input labels and `graphs._mask_has_clique`.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -30,7 +40,8 @@ run: a used-up budget raises BudgetExceededError out of the search, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cache
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _co_components, _join_has_clique, _mask_has_clique, has_clique,
                      join)
@@ -81,9 +92,11 @@ class _Budget:
 
 
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget) -> bool:
+            pos: int, masks: list[int], budget: _Budget,
+            clique: Callable[[tuple[int, ...], int, int], bool]) -> bool:
     """True iff order[pos:] can be placed on top of `masks`, which then hold
-    the free coloring; False once the subtree is exhausted."""
+    the free coloring; False once the subtree is exhausted.  `clique(adj,
+    mask, k)` tells whether the vertices in `mask` hold a k-clique."""
     if pos == len(order):
         return True
     v = order[pos]
@@ -98,11 +111,10 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
             raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
         budget.nodes += 1
         # Cap 2 forbids an edge: a class may take v only with no neighbour.
-        if (masks[c] & nbrs if cap == 2
-                else _mask_has_clique(adj, masks[c] & nbrs, cap - 1)):
+        if masks[c] & nbrs if cap == 2 else clique(adj, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        if _extend(adj, parts, order, pos + 1, masks, budget):
+        if _extend(adj, parts, order, pos + 1, masks, budget, clique):
             return True  # keep masks intact: they hold the coloring
         masks[c] &= ~vbit
     return False
@@ -146,9 +158,22 @@ def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: 
         one |= free
     if left & ~one:
         return False  # a vertex with no color left
-    # A vertex with one color left, else two, else the next in the order.
-    pick = one & ~two or two & ~three or left
-    vbit = pick & -pick
+    # A vertex with one color left; else, of those with two, the one with
+    # the most uncolored neighbours (DSATUR's tie), the earliest on ties;
+    # else the next in the order.
+    pick = one & ~two
+    if pick:
+        vbit = pick & -pick
+    else:
+        vbit = left & -left
+        pick = two & ~three
+        most = -1
+        while pick:
+            bit = pick & -pick
+            pick ^= bit
+            degree = (rows[bit.bit_length() - 1] & left).bit_count()
+            if degree > most:
+                most, vbit = degree, bit
     row = rows[vbit.bit_length() - 1]
     left ^= vbit
     for c in range(used + 1 if used < r else r):
@@ -230,6 +255,73 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     return removed
 
 
+def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
+    """The vertices of `block` along its complement, with True if that walk
+    closes, when the complement of the block is one path or one cycle: the
+    block is then co-P_n or co-C_n.  None otherwise, as soon as a vertex has
+    more than two non-neighbours in `block`.
+
+    The walk starts at the lowest path end, or at the lowest vertex of a
+    cycle, and steps to the lowest unvisited non-neighbour."""
+    start = -1
+    rest = block
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        count = (block & ~adj[bit.bit_length() - 1] ^ bit).bit_count()
+        if count > 2:
+            return None
+        if count < 2 and start < 0:
+            start = bit.bit_length() - 1
+    closed = start < 0
+    v = (block & -block).bit_length() - 1 if closed else start
+    walk = [v]
+    seen = 1 << v
+    step = block & ~adj[v] & ~seen
+    while step:
+        bit = step & -step
+        seen |= bit
+        v = bit.bit_length() - 1
+        walk.append(v)
+        step = block & ~adj[v] & ~seen
+    return (walk, closed) if seen == block else None
+
+
+@cache
+def _walk_search(n: int, closed: bool) -> tuple[tuple[int, ...], tuple[int, ...],
+                                                 Callable[[tuple[int, ...], int, int], bool]]:
+    """The rows, the smallest-last order and a k-clique check of the
+    complement of the path 0..n-1, or of the cycle if `closed`.
+
+    A clique of co-P_n is an independent set of P_n, so the clique number
+    of a set s is the sum of ceil(len/2) over its runs of consecutive
+    vertices: a run that starts on an even bit counts its even bits, one
+    that starts on an odd bit its odd bits.  Adding the even run starts to s
+    carries each such run past its end, so `ev` below is the union of those
+    runs.  On a cycle, a run through n-1 and 0 is first made whole by
+    rotating the lowest gap to the top; the whole cycle has floor(n/2)."""
+    full = (1 << n) - 1
+    co_rows = [1 << (v - 1) % n | 1 << (v + 1) % n if closed else 1 << v + 1 | 1 << v >> 1
+               for v in range(n)]
+    rows = tuple(full & ~(co | 1 << v) for v, co in enumerate(co_rows))
+    even = sum([1 << v for v in range(0, n, 2)])
+    odd = full ^ even
+    top = 1 << n - 1
+
+    def clique(adj: tuple[int, ...], s: int, k: int) -> bool:
+        # `_extend`'s signature: the closed form needs no rows.
+        if closed and s & top and s & 1:
+            if s == full:
+                return n // 2 >= k
+            gap = ~s & s + 1
+            g = gap.bit_length()
+            s = s >> g | (s & gap - 1) << n - g
+        ev = s & ~(s + (s & ~(s << 1) & even))
+        return (ev & even).bit_count() + (s & ~ev & odd).bit_count() >= k
+
+    return rows, tuple(_vertex_order(rows, full)), clique
+
+
 def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
     """The vectors d <= room with sum(d) == total, generated lazily, the
     first entry largest first: that puts the even shares of an ascending
@@ -266,7 +358,16 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
             singles |= block
     big.sort(key=int.bit_count)  # the largest block is placed last
     k = singles.bit_count()
-    orders = [_vertex_order(adj, block) for block in big]
+    # Each block's rows, order and clique check, and the walk that numbers a
+    # co-path or co-cycle block as its canonical copy (None: input labels).
+    searches = []
+    for block in big:
+        walked = _co_walk(adj, block)
+        if walked is None:
+            searches.append((adj, _vertex_order(adj, block), _mask_has_clique, None))
+        else:
+            walk, closed = walked
+            searches.append((*_walk_search(len(walk), closed), walk))
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
     placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...]] | None] = {}
 
@@ -277,13 +378,17 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         caps = tuple(d[c] + 1 for c in live)
         key = (big[j], caps)
         if key not in decided:
+            rows, order, clique, walk = searches[j]
             masks = [0] * len(caps)
             # Caps ascend, so a last cap of 2 asks for a proper coloring.
             # No caps at all stay with `_extend`: no coloring, at no node.
             if caps and caps[-1] == 2:
-                ok = _color_block(adj, len(caps), orders[j], masks, bud)
+                ok = _color_block(rows, len(caps), order, masks, bud)
             else:
-                ok = _extend(adj, caps, orders[j], 0, masks, bud)
+                ok = _extend(rows, caps, order, 0, masks, bud, clique)
+            if ok and walk is not None:  # bit i of a walk-labelled mask is walk[i]
+                masks = [sum([1 << v for i, v in enumerate(walk) if mask >> i & 1])
+                         for mask in masks]
             decided[key] = masks if ok else None
         found = decided[key]
         if found is None:
@@ -341,7 +446,7 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 
     `jobs` has no effect: every search runs in this process.  It must be
     >= 1, and it is kept only because the benchmark's `parallel` workload
-    passes jobs=2; it goes when ROADMAP item 4 redefines that workload.
+    passes jobs=2; it goes when ROADMAP item 1 redefines that workload.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

@@ -240,7 +240,7 @@ SEARCH_CORPUS_NODES = {
     (4, 4, 5): (867, {(4, 5, 5): 16, (4, 4, 6): 16}),
     (5, 8): (3027, {(6, 8): 26, (5, 9): 26}),
     (6, 9): (6606, {(7, 9): 30, (6, 10): 28}),
-    (2, 2, 2, 2): (2528, {(2, 2, 2, 3): 0}),
+    (2, 2, 2, 2): (840, {(2, 2, 2, 3): 0}),
 }
 
 
@@ -258,6 +258,70 @@ def test_the_search_corpus_keeps_its_tree_shape():
             assert coloring_is_free(g, free_parts, result.coloring)
 
 
+def _relabelled(g, seed):
+    """g with its vertex labels shuffled by random.Random(seed)."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_the_walk_clique_check_matches_the_oracle():
+    # Relabelled co-P_n and co-C_n: the closed form, asked on the subset
+    # numbered along the walk, must agree with the oracle on every subset
+    # and every k.
+    for closed, sizes in ((False, range(2, 11)), (True, range(3, 11))):
+        for n in sizes:
+            base = cycle(n) if closed else from_edges(n, [(i, i + 1) for i in range(n - 1)])
+            g = _relabelled(complement(base), n)
+            walk, walk_closed = arrowing._co_walk(g.adj, (1 << n) - 1)
+            assert walk_closed == closed and sorted(walk) == list(range(n))
+            rows, order, clique = arrowing._walk_search(n, closed)
+            assert sorted(order) == list(range(n))
+            for i, v in enumerate(walk):  # the walk is an isomorphism onto `rows`
+                assert sum(1 << walk[j] for j in range(n) if rows[i] >> j & 1) == g.adj[v]
+            for s in range(1 << n):
+                verts = [v for i, v in enumerate(walk) if s >> i & 1]
+                for k in range(n + 2):
+                    assert clique(rows, s, k) == brute_subset_has_clique(g, verts, k), (n, s, k)
+
+
+def test_the_walk_takes_only_one_path_or_one_cycle():
+    star = complement(from_edges(4, [(0, 1), (0, 2), (0, 3)]))  # a vertex of co-degree 3
+    c5c5 = join(cycle(5), cycle(5))  # the law check's whole join: two co-cycles
+    m4 = mycielskian(mycielskian(cycle(5)))
+    for g in (star, c5c5, m4):
+        assert arrowing._co_walk(g.adj, (1 << g.n) - 1) is None
+    assert arrowing._co_walk(P4.adj, 15) == ([1, 3, 0, 2], False)  # P4 is co-P4
+    assert arrowing._co_walk(cycle(5).adj, 31) == ([0, 2, 4, 1, 3], True)
+
+
+# Stock witnesses join(K_{m-p-1}, co-C_{2p+1}) at q = m and their node
+# counts in stock labels, which every relabelling must reach exactly.
+STOCK_NODES = {parts: SEARCH_CORPUS_NODES[parts][0] for parts in [(3, 3, 4), (5, 8), (6, 9)]}
+STOCK_NODES[3, 16] = 6286
+
+
+def test_relabelled_stock_witnesses_take_the_stock_tree(monkeypatch):
+    # Their co-C_{2p+1} part is searched in walk labels, with the closed-form
+    # clique check and never the general one.
+    def no_general_check(*args):
+        raise AssertionError("a co-cycle part ran the general clique check")
+
+    monkeypatch.setattr(arrowing, "_mask_has_clique", no_general_check)
+    for parts, nodes in STOCK_NODES.items():
+        sig = normalize(parts)
+        g = join(complete(sig.m - sig.p - 1), complement(cycle(2 * sig.p + 1)))
+        raised = (*parts[:-1], parts[-1] + 1)
+        free_nodes = find_free_coloring(g, raised).nodes
+        for seed in range(4):
+            h = _relabelled(g, seed)
+            assert find_free_coloring(h, parts) == SearchResult(ARROWS, None, nodes), parts
+            result = find_free_coloring(h, raised)
+            assert (result.verdict, result.nodes) == (FREE, free_nodes), raised
+            classes = color_classes(result.coloring, len(raised))
+            assert not any(graphs.has_clique(h, cls, cap) for cls, cap in zip(classes, raised))
+
+
 def _no_all_2_extend(monkeypatch):
     """Make `_extend` fail on any decision whose caps are all 2."""
     real = arrowing._extend
@@ -271,10 +335,11 @@ def _no_all_2_extend(monkeypatch):
 
 def test_mycielski_m4_arrows_2222_cheaply(monkeypatch):
     # M4 is 5-chromatic.  Vertex by vertex it takes 106,352 nodes; with
-    # forward checking it takes a few thousand.
+    # forward checking it takes 2,528, and with DSATUR's degree tie among
+    # the vertices with two colors left, 840.
     _no_all_2_extend(monkeypatch)
     m4 = mycielskian(mycielskian(cycle(5)))
-    assert find_free_coloring(m4, [2, 2, 2, 2], budget=10_000).verdict == ARROWS
+    assert find_free_coloring(m4, [2, 2, 2, 2], budget=1_000).verdict == ARROWS
 
 
 def test_the_coloring_budget_stops_at_exactly_its_nodes():
