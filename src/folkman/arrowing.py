@@ -22,13 +22,26 @@ colored before the next in smallest-last order.  The same symmetry rule and
 node budget apply.
 
 A part whose complement is one path or one cycle, such as the co-C_{2p+1}
-of every stock witness, is found by `_co_walk` and searched in the labels
-of that walk, on the cached rows and order of the canonical co-P_n or co-C_n
-(`_walk_search`); a free coloring is mapped back.  Its clique check is closed
-form: a clique of co-C_n is an independent set of C_n, so a set's clique
-number is the sum of ceil(len/2) over its runs along the cycle.  The search
-of such a part is therefore the same under every labelling of the input.
-Every other part keeps its input labels and `graphs._mask_has_clique`.
+of every stock witness, is found by `_co_walk` and decided by a rule, with
+no search and no node (`_walk_coloring`).  Number the part 0..n-1 along its
+walk and let caps c_1..c_t have rooms d_i = c_i - 1.  Then:
+
+- co-P_n is free iff d_1 + ... + d_t >= ceil(n/2);
+- co-C_n is free iff that sum holds, or some d_i >= floor(n/2).
+
+Proof.  A clique of co-P_n or co-C_n is an independent set of P_n or C_n.
+A class S other than the whole cycle induces in the path or cycle disjoint
+paths, its runs along the walk, so omega(S) is the sum of ceil(L/2) over
+its runs of lengths L; the whole cycle has floor(n/2).  The runs of all
+classes split the walk, and ceil(a/2) + ceil(b/2) >= ceil((a+b)/2), so in a
+free coloring where no class is the whole cycle, sum d_i >= sum omega(S_i)
+>= ceil(n/2).  A class that is the whole cycle needs d_i >= floor(n/2).
+Conversely, consecutive arcs of 2*d_i vertices, the last one cut short,
+cover the walk when the sum holds, and an arc of L <= 2*d_i vertices has
+omega = ceil(L/2) <= d_i, or floor(n/2) if it closes the cycle; otherwise
+the class with d_i >= floor(n/2) takes the whole cycle.  The coloring is
+built in O(n).  Every other part keeps its input labels and
+`graphs._mask_has_clique`.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -40,8 +53,7 @@ run: a used-up budget raises BudgetExceededError out of the search, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _co_components, _join_has_clique, _mask_has_clique, has_clique,
                      join)
@@ -92,11 +104,9 @@ class _Budget:
 
 
 def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget,
-            clique: Callable[[tuple[int, ...], int, int], bool]) -> bool:
+            pos: int, masks: list[int], budget: _Budget) -> bool:
     """True iff order[pos:] can be placed on top of `masks`, which then hold
-    the free coloring; False once the subtree is exhausted.  `clique(adj,
-    mask, k)` tells whether the vertices in `mask` hold a k-clique."""
+    the free coloring; False once the subtree is exhausted."""
     if pos == len(order):
         return True
     v = order[pos]
@@ -111,10 +121,10 @@ def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
             raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
         budget.nodes += 1
         # Cap 2 forbids an edge: a class may take v only with no neighbour.
-        if masks[c] & nbrs if cap == 2 else clique(adj, masks[c] & nbrs, cap - 1):
+        if masks[c] & nbrs if cap == 2 else _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        if _extend(adj, parts, order, pos + 1, masks, budget, clique):
+        if _extend(adj, parts, order, pos + 1, masks, budget):
             return True  # keep masks intact: they hold the coloring
         masks[c] &= ~vbit
     return False
@@ -287,39 +297,23 @@ def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
     return (walk, closed) if seen == block else None
 
 
-@cache
-def _walk_search(n: int, closed: bool) -> tuple[tuple[int, ...], tuple[int, ...],
-                                                 Callable[[tuple[int, ...], int, int], bool]]:
-    """The rows, the smallest-last order and a k-clique check of the
-    complement of the path 0..n-1, or of the cycle if `closed`.
-
-    A clique of co-P_n is an independent set of P_n, so the clique number
-    of a set s is the sum of ceil(len/2) over its runs of consecutive
-    vertices: a run that starts on an even bit counts its even bits, one
-    that starts on an odd bit its odd bits.  Adding the even run starts to s
-    carries each such run past its end, so `ev` below is the union of those
-    runs.  On a cycle, a run through n-1 and 0 is first made whole by
-    rotating the lowest gap to the top; the whole cycle has floor(n/2)."""
-    full = (1 << n) - 1
-    co_rows = [1 << (v - 1) % n | 1 << (v + 1) % n if closed else 1 << v + 1 | 1 << v >> 1
-               for v in range(n)]
-    rows = tuple(full & ~(co | 1 << v) for v, co in enumerate(co_rows))
-    even = sum([1 << v for v in range(0, n, 2)])
-    odd = full ^ even
-    top = 1 << n - 1
-
-    def clique(adj: tuple[int, ...], s: int, k: int) -> bool:
-        # `_extend`'s signature: the closed form needs no rows.
-        if closed and s & top and s & 1:
-            if s == full:
-                return n // 2 >= k
-            gap = ~s & s + 1
-            g = gap.bit_length()
-            s = s >> g | (s & gap - 1) << n - g
-        ev = s & ~(s + (s & ~(s << 1) & even))
-        return (ev & even).bit_count() + (s & ~ev & odd).bit_count() >= k
-
-    return rows, tuple(_vertex_order(rows, full)), clique
+def _walk_coloring(walk: list[int], closed: bool, caps: tuple[int, ...]) -> list[int] | None:
+    """One mask per cap of a free coloring of the co-P_n or co-C_n along
+    `walk` (co-C_n if `closed`), or None if there is none: the rule of the
+    module docstring.  Caps ascend, so the last class is the widest."""
+    n = len(walk)
+    rooms = [cap - 1 for cap in caps]
+    if closed and rooms and 2 * rooms[-1] >= n - 1:  # room for the whole cycle
+        return [0] * (len(rooms) - 1) + [sum([1 << v for v in walk])]
+    if 2 * sum(rooms) < n:
+        return None
+    masks = []
+    start = 0
+    for room in rooms:
+        end = min(start + 2 * room, n)
+        masks.append(sum([1 << v for v in walk[start:end]]))
+        start = end
+    return masks
 
 
 def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
@@ -347,6 +341,10 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     leaves room - d to the blocks after it.  A block only gets freer as d
     grows, so the last block needs only the shares that leave exactly k, and
     an earlier block skips each d above a share it already passed on.
+
+    A join without a p-clique needs none of this: the widest class takes
+    every vertex.  A co-P_n block counts ceil(n/2) toward that clique and a
+    co-C_n block floor(n/2), the clique numbers of the walk rule.
     """
     r = len(parts)
     singles = 0
@@ -358,16 +356,14 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
             singles |= block
     big.sort(key=int.bit_count)  # the largest block is placed last
     k = singles.bit_count()
-    # Each block's rows, order and clique check, and the walk that numbers a
-    # co-path or co-cycle block as its canonical copy (None: input labels).
-    searches = []
-    for block in big:
-        walked = _co_walk(adj, block)
-        if walked is None:
-            searches.append((adj, _vertex_order(adj, block), _mask_has_clique, None))
-        else:
-            walk, closed = walked
-            searches.append((*_walk_search(len(walk), closed), walk))
+    # Each block's walk, when a rule decides it, else its search order.
+    walks = [_co_walk(adj, block) for block in big]
+    if parts:
+        need = parts[-1] - k - sum([(len(walk) + (not closed)) // 2
+                                    for walk, closed in filter(None, walks)])
+        if not _join_has_clique(adj, [b for b, walked in zip(big, walks) if not walked], need):
+            return [0] * (r - 1) + [singles | sum(big)]
+    orders = [None if walked else _vertex_order(adj, block) for block, walked in zip(big, walks)]
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
     placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...]] | None] = {}
 
@@ -378,18 +374,17 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         caps = tuple(d[c] + 1 for c in live)
         key = (big[j], caps)
         if key not in decided:
-            rows, order, clique, walk = searches[j]
-            masks = [0] * len(caps)
-            # Caps ascend, so a last cap of 2 asks for a proper coloring.
-            # No caps at all stay with `_extend`: no coloring, at no node.
-            if caps and caps[-1] == 2:
-                ok = _color_block(rows, len(caps), order, masks, bud)
+            if walks[j] is not None:
+                decided[key] = _walk_coloring(*walks[j], caps)
             else:
-                ok = _extend(rows, caps, order, 0, masks, bud, clique)
-            if ok and walk is not None:  # bit i of a walk-labelled mask is walk[i]
-                masks = [sum([1 << v for i, v in enumerate(walk) if mask >> i & 1])
-                         for mask in masks]
-            decided[key] = masks if ok else None
+                masks = [0] * len(caps)
+                # Caps ascend, so a last cap of 2 asks for a proper coloring.
+                # No caps at all stay with `_extend`: no coloring, at no node.
+                if caps and caps[-1] == 2:
+                    ok = _color_block(adj, len(caps), orders[j], masks, bud)
+                else:
+                    ok = _extend(adj, caps, orders[j], 0, masks, bud)
+                decided[key] = masks if ok else None
         found = decided[key]
         if found is None:
             return None
@@ -456,17 +451,12 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 def _decide(g: Graph, sig: Signature, blocks: list[int],
             budget: int | None) -> SearchResult:
     """Decide g as the join of the vertex masks `blocks`, block by block:
-    a lone block, such as a co-connected graph, is searched whole.  A g
-    without a p-clique, also decided block by block, needs no search."""
+    a lone block, such as a co-connected graph, is searched whole."""
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
-    parts = sig.parts
-    if parts and not _join_has_clique(g.adj, blocks, sig.p):
-        # No p-clique: the widest class can hold every vertex.
-        return SearchResult(FREE, tuple([len(parts) - 1] * g.n), 0)
     bud = _Budget(budget)
     try:
-        masks = _join_coloring(g.adj, parts, blocks, bud)
+        masks = _join_coloring(g.adj, sig.parts, blocks, bud)
     except BudgetExceededError:
         return SearchResult(UNDECIDED, None, bud.nodes)
     if masks is None:

@@ -243,8 +243,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", required=True, help="graph file (.g6 or .el), or - for stdin")
     p_verify.add_argument("--sig", required=True)
     p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p_verify.add_argument("--format", choices=sorted(_CODECS))
+    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                          help="search-node budget (0 = unlimited; default 1e8)")
+    p_verify.add_argument("--format", choices=sorted(_CODECS),
+                          help="override the format inferred from the extension")
     add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

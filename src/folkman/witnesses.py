@@ -69,9 +69,9 @@ def base_witness(sig: Signature | Iterable[int], q: int,
     vertices with caps summing to m-1 must overload some class, and its
     clique number m stays below q.  For q = m the candidate is
     join(K_{m-p-1}, complement(C_{2p+1})) on m+p vertices with clique number
-    m-1; it is never trusted, only certified after the engine confirms it
-    exhaustively.  `budget` alone bounds that search: the certificate stays
-    unverified when the budget runs out.  No construction is known for q < m.
+    m-1; it is never trusted, only certified after the engine confirms it.
+    The engine decides its co-C_{2p+1} part by the rule in `arrowing`, at no
+    node, so `budget` does not bind here.  No construction is known for q < m.
     """
     sig = as_signature(sig)
     if sig.is_empty:

@@ -34,6 +34,27 @@ def brute_subset_has_clique(g: Graph, verts, k: int) -> bool:
     return False
 
 
+def walk_clique_number(n: int, closed: bool, positions) -> int:
+    """Clique number of the vertices at `positions` of co-P_n, or of co-C_n
+    if `closed`, numbered along the path or cycle.  A clique there is an
+    independent set of the path or cycle: the sum of ceil(L/2) over the runs
+    of consecutive positions, a run through n-1 and 0 counted once on a
+    cycle, and floor(n/2) for the whole cycle."""
+    inside = [i in set(positions) for i in range(n)]
+    if closed and all(inside):
+        return n // 2
+    # On a cycle, start after a gap, so that no run is split in two.
+    start = inside.index(False) + 1 if closed else 0
+    total = run = 0
+    for i in range(start, start + n):
+        if inside[i % n]:
+            run += 1
+        else:
+            total += (run + 1) // 2
+            run = 0
+    return total + (run + 1) // 2
+
+
 def scan_adjacency(n: int, adj) -> None:
     """Per-bit validity scan of adjacency rows: raises the ValueError of the
     first row with bits beyond n or a loop, else of the first pair (v, u) in
@@ -215,6 +236,11 @@ def mycielskian(g: Graph) -> Graph:
     edges += [(u + n, v) for u, v in g.edges()] + [(v + n, u) for u, v in g.edges()]
     edges += [(u + n, 2 * n) for u in range(n)]
     return from_edges(2 * n + 1, edges)
+
+
+def circulant(n: int, offsets) -> Graph:
+    """The circulant graph C_n(offsets): i ~ i + s (mod n) for each s."""
+    return from_edges(n, {tuple(sorted((i, (i + s) % n))) for i in range(n) for s in offsets})
 
 
 def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:

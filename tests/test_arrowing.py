@@ -9,11 +9,16 @@ from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError, Sear
                               in_class_H, verify_composition_instance)
 from folkman.graphs import Graph, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
+from folkman.witnesses import VERIFIED, base_witness
 
-from conftest import (brute_subset_has_clique, coloring_is_free, mycielskian, naive_arrows,
-                      properly_colorable, random_graph, signatures_up_to)
+from conftest import (brute_subset_has_clique, circulant, coloring_is_free, mycielskian,
+                      naive_arrows, properly_colorable, random_graph, signatures_up_to,
+                      walk_clique_number)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
+# omega = 4 and co-connected, with no co-path or co-cycle part: a general part
+# that takes a search.  It arrows (3,4) in 632 nodes.
+C13 = circulant(13, (1, 2, 3, 5))
 
 
 def test_k5_arrows_33():
@@ -148,7 +153,7 @@ def test_budget_rejected_when_nonpositive():
 
 
 def test_budget_exhaustion_is_undecided():
-    g = join(complete(2), complement(cycle(11)))
+    g = C13
     full = find_free_coloring(g, [3, 4], budget=None)
     assert full.verdict == ARROWS and full.nodes > 5
     # An undecided search expands exactly its budget; the full count decides.
@@ -188,9 +193,18 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     monkeypatch.setattr(arrowing, "_extend", spy)
     assert verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1)
     assert searched == [10]
+    # Part by part, each C5 (a co-C5) is decided by the walk rule instead.
+    walks = []
+    real_rule = arrowing._walk_coloring
+
+    def rule_spy(walk, closed, caps):
+        walks.append((len(walk), closed))
+        return real_rule(walk, closed, caps)
+
+    monkeypatch.setattr(arrowing, "_walk_coloring", rule_spy)
     searched.clear()
     assert arrows(join(cycle(5), cycle(5)), [2, 4])
-    assert searched and set(searched) == {5}
+    assert searched == [] and walks and set(walks) == {(5, True)}
 
 
 def _smallest_last(adj, block):
@@ -222,24 +236,24 @@ def test_vertex_order_puts_a_maximum_clique_of_co_c19_first():
 
 
 def test_the_hard_stock_witness_8_11_stays_cheap():
-    # join(K_6, co-C23), q = m = 18, takes 30,660 nodes.  The budget stops
-    # an order that loses the clique-first start, such as descending degree
-    # (531,382 nodes), instead of letting it run for seconds.
+    # join(K_6, co-C23), q = m = 18: the walk rule decides its co-C23 part at
+    # no node, so a budget of one is never touched.
     witness = join(complete(6), complement(cycle(23)))
-    assert find_free_coloring(witness, [8, 11], budget=60_000).verdict == ARROWS
+    assert find_free_coloring(witness, [8, 11], budget=1) == SearchResult(ARROWS, None, 0)
 
 
 # The arrowing instances of the benchmark's search corpus, the q = m stock
 # witnesses and M4, with their node counts and those of the free instances
 # made by raising one part.  Only a change of tree shape may move these: a
-# faster clique check must leave every count as it is.
+# faster clique check must leave every count as it is.  The stock witnesses'
+# co-C_{2p+1} parts are decided by the walk rule, at no node.
 SEARCH_CORPUS_NODES = {
-    (3, 3, 4): (229, {(3, 4, 4): 14, (3, 3, 5): 19}),
-    (4, 4, 4): (229, {(4, 4, 5): 14}),
-    (3, 3, 5): (867, {(3, 4, 5): 25, (3, 3, 6): 21}),
-    (4, 4, 5): (867, {(4, 5, 5): 16, (4, 4, 6): 16}),
-    (5, 8): (3027, {(6, 8): 26, (5, 9): 26}),
-    (6, 9): (6606, {(7, 9): 30, (6, 10): 28}),
+    (3, 3, 4): (0, {(3, 4, 4): 0, (3, 3, 5): 0}),
+    (4, 4, 4): (0, {(4, 4, 5): 0}),
+    (3, 3, 5): (0, {(3, 4, 5): 0, (3, 3, 6): 0}),
+    (4, 4, 5): (0, {(4, 5, 5): 0, (4, 4, 6): 0}),
+    (5, 8): (0, {(6, 8): 0, (5, 9): 0}),
+    (6, 9): (0, {(7, 9): 0, (6, 10): 0}),
     (2, 2, 2, 2): (840, {(2, 2, 2, 3): 0}),
 }
 
@@ -265,24 +279,103 @@ def _relabelled(g, seed):
     return from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
 
 
+def _co_walk_graph(n, closed, seed):
+    """co-C_n if `closed`, else co-P_n, relabelled by `_relabelled`."""
+    base = cycle(n) if closed else from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return _relabelled(complement(base), seed)
+
+
 def test_the_walk_clique_check_matches_the_oracle():
-    # Relabelled co-P_n and co-C_n: the closed form, asked on the subset
-    # numbered along the walk, must agree with the oracle on every subset
-    # and every k.
+    # conftest.walk_clique_number, the closed form asked on the positions
+    # along the walk, against the brute-force oracle on every subset of a
+    # relabelled co-P_n or co-C_n and every k.
     for closed, sizes in ((False, range(2, 11)), (True, range(3, 11))):
         for n in sizes:
-            base = cycle(n) if closed else from_edges(n, [(i, i + 1) for i in range(n - 1)])
-            g = _relabelled(complement(base), n)
+            g = _co_walk_graph(n, closed, n)
             walk, walk_closed = arrowing._co_walk(g.adj, (1 << n) - 1)
             assert walk_closed == closed and sorted(walk) == list(range(n))
-            rows, order, clique = arrowing._walk_search(n, closed)
-            assert sorted(order) == list(range(n))
-            for i, v in enumerate(walk):  # the walk is an isomorphism onto `rows`
-                assert sum(1 << walk[j] for j in range(n) if rows[i] >> j & 1) == g.adj[v]
+            for i in range(n):  # the walk steps along the complement
+                assert not g.has_edge(walk[i], walk[(i + 1) % n]) or (i == n - 1 and not closed)
             for s in range(1 << n):
-                verts = [v for i, v in enumerate(walk) if s >> i & 1]
-                for k in range(n + 2):
-                    assert clique(rows, s, k) == brute_subset_has_clique(g, verts, k), (n, s, k)
+                positions = [i for i in range(n) if s >> i & 1]
+                omega = walk_clique_number(n, closed, positions)
+                verts = [walk[i] for i in positions]
+                assert brute_subset_has_clique(g, verts, omega), (n, s)
+                assert not brute_subset_has_clique(g, verts, omega + 1), (n, s)
+
+
+def _free_under(g, parts, result):
+    """result is a free coloring of g under parts: each class's clique
+    number, the sum of its co-components' by branch and bound, is below its
+    cap.  `has_clique` would prove a class free by `_mask_has_clique`'s
+    exhaustive search, which on an arc of a large co-cycle takes seconds."""
+    for c, cap in enumerate(parts):
+        mask = sum(1 << v for v, color in enumerate(result.coloring) if color == c)
+        if graphs._max_clique_mask(g.adj, graphs._co_components(g.adj, mask)).bit_count() >= cap:
+            return False
+    return True
+
+
+def test_the_walk_rule_matches_the_general_search(monkeypatch):
+    # Relabelled co-P_n and co-C_n, alone and joined with K_k, decided by
+    # the rule and by the general search that `_co_walk` returning None
+    # forces on them.  Only the rule takes no node.
+    rng = random.Random(1616)
+    sigs = [s for s in signatures_up_to(3, 16) if s[-1] <= 6]
+    cases = []
+    for n in range(2, 15):
+        for closed in (False, True) if n >= 3 else (False,):
+            g = _co_walk_graph(n, closed, rng.randrange(10**6))
+            for k in (0, 1, 2):
+                h = join(complete(k), g)
+                cases += [(h, parts) for parts in rng.sample(sigs, 6)]
+    rule = [find_free_coloring(h, parts) for h, parts in cases]
+    monkeypatch.setattr(arrowing, "_co_walk", lambda adj, block: None)
+    verdicts = set()
+    for (h, parts), result in zip(cases, rule):
+        general = find_free_coloring(h, parts)
+        assert result.verdict == general.verdict, (h.n, parts)
+        assert result.nodes == 0
+        verdicts.add(result.verdict)
+        if result.verdict == FREE:
+            assert _free_under(h, parts, result)
+    assert verdicts == {ARROWS, FREE}
+
+
+def test_the_walk_rule_matches_the_naive_oracle():
+    for n in range(2, 9):
+        for closed in (False, True) if n >= 3 else (False,):
+            g = _co_walk_graph(n, closed, n)
+            for parts in signatures_up_to(3 if n <= 6 else 2, 8):
+                result = find_free_coloring(g, parts)
+                assert result.nodes == 0
+                assert (result.verdict == ARROWS) == naive_arrows(g, parts), (n, closed, parts)
+                if result.verdict == FREE:
+                    assert coloring_is_free(g, parts, result.coloring)
+
+
+def test_every_rule_coloring_is_free():
+    # The rule's colorings, on the walk 0..n-1, against the closed-form
+    # oracle: every vertex in one class, and class i's clique number below
+    # cap i.  Caps ascend, as `_join_coloring` passes them.
+    rng = random.Random(6464)
+    sigs = [s for s in signatures_up_to(4, 49) if s[-1] <= 13]
+    free = 0
+    for n in range(2, 65):
+        for closed in (False, True) if n >= 3 else (False,):
+            for caps in rng.sample(sigs, 40):
+                masks = arrowing._walk_coloring(list(range(n)), closed, caps)
+                rooms = [cap - 1 for cap in caps]
+                expected = 2 * sum(rooms) >= n or closed and 2 * max(rooms) >= n - 1
+                assert (masks is not None) == expected, (n, closed, caps)
+                if masks is None:
+                    continue
+                free += 1
+                assert sum(masks) == (1 << n) - 1 and len(masks) == len(caps)
+                for mask, room in zip(masks, rooms):
+                    positions = [i for i in range(n) if mask >> i & 1]
+                    assert walk_clique_number(n, closed, positions) <= room, (n, closed, caps)
+    assert free > 2000
 
 
 def test_the_walk_takes_only_one_path_or_one_cycle():
@@ -295,31 +388,59 @@ def test_the_walk_takes_only_one_path_or_one_cycle():
     assert arrowing._co_walk(cycle(5).adj, 31) == ([0, 2, 4, 1, 3], True)
 
 
-# Stock witnesses join(K_{m-p-1}, co-C_{2p+1}) at q = m and their node
-# counts in stock labels, which every relabelling must reach exactly.
-STOCK_NODES = {parts: SEARCH_CORPUS_NODES[parts][0] for parts in [(3, 3, 4), (5, 8), (6, 9)]}
-STOCK_NODES[3, 16] = 6286
+# Stock witnesses join(K_{m-p-1}, co-C_{2p+1}) at q = m.
+STOCK_SIGNATURES = [(3, 3, 4), (5, 8), (6, 9), (3, 16)]
 
 
 def test_relabelled_stock_witnesses_take_the_stock_tree(monkeypatch):
-    # Their co-C_{2p+1} part is searched in walk labels, with the closed-form
-    # clique check and never the general one.
+    # Their co-C_{2p+1} part is decided by the walk rule, at no node and
+    # never with the general clique check, under every labelling.
     def no_general_check(*args):
         raise AssertionError("a co-cycle part ran the general clique check")
 
     monkeypatch.setattr(arrowing, "_mask_has_clique", no_general_check)
-    for parts, nodes in STOCK_NODES.items():
+    for parts in STOCK_SIGNATURES:
         sig = normalize(parts)
         g = join(complete(sig.m - sig.p - 1), complement(cycle(2 * sig.p + 1)))
         raised = (*parts[:-1], parts[-1] + 1)
-        free_nodes = find_free_coloring(g, raised).nodes
-        for seed in range(4):
-            h = _relabelled(g, seed)
-            assert find_free_coloring(h, parts) == SearchResult(ARROWS, None, nodes), parts
+        for h in [g] + [_relabelled(g, seed) for seed in range(4)]:
+            assert find_free_coloring(h, parts) == SearchResult(ARROWS, None, 0), parts
             result = find_free_coloring(h, raised)
-            assert (result.verdict, result.nodes) == (FREE, free_nodes), raised
-            classes = color_classes(result.coloring, len(raised))
-            assert not any(graphs.has_clique(h, cls, cap) for cls, cap in zip(classes, raised))
+            assert (result.verdict, result.nodes) == (FREE, 0), raised
+            assert _free_under(h, raised, result)
+
+
+def _stock_sweep():
+    """The stock signatures with a prefix in {2, 3, 4, 5, (2,2), (2,3),
+    (3,3), (2,2,2)}, a last part at least the prefix's last, and a q = m
+    witness of m + p <= 64 vertices."""
+    out = []
+    for prefix in [(2,), (3,), (4,), (5,), (2, 2), (2, 3), (3, 3), (2, 2, 2)]:
+        p = prefix[-1]
+        while True:
+            sig = normalize((*prefix, p))
+            if sig.m + sig.p > 64:
+                break
+            out.append(sig)
+            p += 1
+    return out
+
+
+def test_the_stock_sweep_is_decided_by_the_rule(monkeypatch):
+    def no_search(*args):
+        raise AssertionError("a stock witness reached a search")
+
+    for name in ("_extend", "_color", "_mask_has_clique"):
+        monkeypatch.setattr(arrowing, name, no_search)
+    sweep = _stock_sweep()
+    assert len(sweep) == 227
+    for sig in sweep:
+        cert = base_witness(sig, sig.m)
+        assert (cert.status, cert.nodes) == (VERIFIED, 0), sig
+        raised = (*sig.parts[:-1], sig.p + 1)
+        result = find_free_coloring(cert.graph, raised)
+        assert (result.verdict, result.nodes) == (FREE, 0), sig
+        assert _free_under(cert.graph, raised, result), sig
 
 
 def _no_all_2_extend(monkeypatch):
@@ -451,7 +572,10 @@ def test_a_join_starts_no_process(monkeypatch):
 
 
 def test_nodes_are_counted():
-    assert find_free_coloring(cycle(5), [2, 2]).nodes > 0
+    # C5 is co-C5, which the walk rule decides at no node; the Groetzsch
+    # graph is a general part and takes a search.
+    assert find_free_coloring(cycle(5), [2, 2]) == SearchResult(ARROWS, None, 0)
+    assert find_free_coloring(mycielskian(cycle(5)), [2, 2, 2]).nodes > 0
     # K5 is five singleton co-components: the K_k closed form settles it.
     assert find_free_coloring(complete(5), [3, 3]) == SearchResult(ARROWS, None, 0)
 

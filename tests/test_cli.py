@@ -13,6 +13,8 @@ from folkman.formats import _CODECS, serialize_edge_list, serialize_graph, seria
 from folkman.graphs import complement, complete, cycle, from_edges, join
 from folkman.witnesses import parse_certificate
 
+from conftest import circulant
+
 
 @pytest.fixture
 def c5_path(tmp_path):
@@ -47,9 +49,16 @@ def test_arrow_false_prints_coloring(capsys, p4_path):
     assert "class 1:" in out and "class 2:" in out
 
 
+def _c13_path(tmp_path):
+    """C13(1,2,3,5), omega = 4: a general part that arrows (3,4) in 632
+    nodes, undecided at a budget of 5."""
+    path = tmp_path / "c13.g6"
+    path.write_text(serialize_graph6(circulant(13, (1, 2, 3, 5))) + "\n")
+    return path
+
+
 def test_arrow_budget_exit_code(capsys, tmp_path):
-    big = tmp_path / "big.g6"
-    big.write_text(serialize_graph6(join(complete(1), complement(cycle(11)))) + "\n")
+    big = _c13_path(tmp_path)
     code, out, _ = run_cli(capsys, ["arrow", "--graph", str(big), "--sig", "3,4",
                                     "--budget", "5"])
     assert code == 2
@@ -249,9 +258,11 @@ def test_witness_json(capsys):
     assert result["vertices"] == 5
 
 
-def test_witness_unverified_exit_code(capsys):
-    code, out, _ = run_cli(capsys, ["witness", "--sig", "2,2,9", "--q", "11",
-                                    "--verify-budget", "100"])
+def test_witness_unverified_exit_code(capsys, tmp_path):
+    # A stock witness is decided at no node, so `witness` never runs out of
+    # budget; an external witness with a general part does.
+    code, out, _ = run_cli(capsys, ["verify", "--graph", str(_c13_path(tmp_path)),
+                                    "--sig", "3,4", "--q", "5", "--budget", "5"])
     assert code == 2
     assert "status: unverified" in out
 

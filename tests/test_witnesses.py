@@ -15,7 +15,15 @@ from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED,
                                format_certificate, load_external_witness,
                                parse_certificate)
 
-from conftest import coloring_is_free, mycielskian, naive_arrows, signatures_up_to
+from conftest import circulant, coloring_is_free, mycielskian, naive_arrows, signatures_up_to
+
+
+def _c13_file(tmp_path):
+    """C13(1,2,3,5), omega = 4, as a graph6 file: a general part that arrows
+    (3,4) in 632 nodes, so a budget of 5 leaves a (3,4;5) claim undecided."""
+    path = tmp_path / "c13.g6"
+    path.write_text(serialize_graph6(circulant(13, (1, 2, 3, 5))) + "\n")
+    return str(path)
 
 
 def test_base_witness_22_is_five_cycle():
@@ -75,15 +83,13 @@ def test_base_witness_errors():
 
 
 def test_base_witness_budget_alone_bounds_verification():
-    sig = normalize([2, 2, 9])  # 20 vertices: only the node budget limits the search
-    cert = base_witness(sig, sig.m)
-    assert cert.status == VERIFIED
-    assert cert.nodes > 0
-    assert cert.proves_upper == 20
-    cert = base_witness(sig, sig.m, budget=100)
-    assert cert.status == UNVERIFIED
-    assert cert.nodes == 100
-    assert cert.proves_upper is None
+    # The co-C19 part of the 20-vertex witness is decided by the walk rule,
+    # at no node, so the smallest budget verifies it.
+    sig = normalize([2, 2, 9])
+    for budget in (None, 1):
+        cert = base_witness(sig, sig.m, budget=budget)
+        assert (cert.status, cert.nodes) == (VERIFIED, 0)
+        assert cert.proves_upper == 20
 
 
 def test_compose_two_pentagon_witnesses():
@@ -196,7 +202,7 @@ def test_base_witness_runs_one_max_clique_search(monkeypatch):
     monkeypatch.setattr(graphs, "max_clique", counted)
     monkeypatch.setattr(witnesses, "max_clique", counted)
     cert = base_witness([4, 4, 5], 11)
-    assert cert.status == VERIFIED and cert.nodes > 0
+    assert cert.status == VERIFIED and cert.nodes == 0
     assert calls == [16]
 
 
@@ -211,9 +217,9 @@ def test_compose_sizes_the_join_by_the_composition_law(monkeypatch):
     assert orders and max(orders) <= 24
 
 
-def test_compose_rejects_bad_inputs():
+def test_compose_rejects_bad_inputs(tmp_path):
     good = base_witness([2, 2], 3)
-    unverified = base_witness([2, 2], 3, budget=1)
+    unverified = load_external_witness(_c13_file(tmp_path), [3, 4], 5, budget=5)
     assert unverified.status == UNVERIFIED
     with pytest.raises(ValueError, match="only compose verified"):
         compose_witness(good, unverified, 0)
@@ -263,11 +269,10 @@ def test_external_witness_refuted_by_free_coloring(tmp_path):
 
 
 def test_external_witness_budget_exhaustion(tmp_path):
-    path = tmp_path / "big.g6"
-    # clique number 6 < q = 7, so the claim survives to the search stage
-    path.write_text(serialize_graph6(join(complete(1), complement(cycle(11)))) + "\n")
-    cert = load_external_witness(str(path), [3, 4], 7, budget=5)
-    assert cert.status == UNVERIFIED
+    # clique number 4 < q = 5, so the claim survives to the search stage
+    cert = load_external_witness(_c13_file(tmp_path), [3, 4], 5, budget=5)
+    assert (cert.status, cert.nodes) == (UNVERIFIED, 5)
+    assert load_external_witness(_c13_file(tmp_path), [3, 4], 5).status == VERIFIED
 
 
 def test_external_witness_registers_in_table(tmp_path):
