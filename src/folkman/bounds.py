@@ -14,7 +14,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
-from .signatures import Signature, as_signature, normalize
+from .signatures import Signature, as_signature, folkman_exists, normalize
 
 RULE_EXISTS_FAIL = "EXISTS-FAIL"
 RULE_Q_GT_M = "Q-GT-M"
@@ -185,12 +185,6 @@ def default_table(extra_path: str | Path | None = None) -> KnownTable:
         for entry in load_known_values(extra_path):
             table.add(entry)
     return table
-
-
-def folkman_exists(sig: Signature | Iterable[int], q: int) -> bool:
-    """F(a1,...,ar;q) exists exactly when q exceeds the largest part."""
-    sig = as_signature(sig)
-    return q > sig.p
 
 
 def base_bounds(sig: Signature | Iterable[int], q: int,

@@ -16,15 +16,15 @@ import json
 import os
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .arrowing import (ARROWS, DEFAULT_BUDGET, FREE, UNDECIDED, color_classes,
-                       find_free_coloring)
-from .bounds import BoundRecord, Rule, best_bounds, closed_form_upper_3p, closed_form_upper_22p, default_table
+# Only the parser's needs load here: each command imports the modules it runs.
 from .formats import _CODECS, GraphFormatError, read_graph_file
 from .signatures import Signature, normalize
-from .witnesses import (UNVERIFIED, WitnessCertificate, base_witness, certificate_fields,
-                        format_certificate, load_external_witness)
+
+if TYPE_CHECKING:
+    from .bounds import BoundRecord, Rule
+    from .witnesses import WitnessCertificate
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -54,7 +54,11 @@ def _parse_sig(text: str) -> Signature:
     return sig
 
 
-def _parse_budget(value: int) -> int | None:
+def _parse_budget(value: int | None) -> int | None:
+    """--budget for the engine: `arrowing.DEFAULT_BUDGET` if not given, None for 0."""
+    if value is None:
+        from .arrowing import DEFAULT_BUDGET
+        return DEFAULT_BUDGET
     if value < 0:
         raise ValueError("budget must be >= 0 (0 means unlimited)")
     return None if value == 0 else value
@@ -111,6 +115,7 @@ def _record_json(rec: BoundRecord) -> dict:
 
 
 def _cmd_arrow(args) -> int:
+    from .arrowing import ARROWS, FREE, UNDECIDED, color_classes, find_free_coloring
     graph = read_graph_file(args.graph, args.format)
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
@@ -135,6 +140,7 @@ def _cmd_arrow(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    from .bounds import best_bounds, default_table
     sig = _parse_sig(args.sig)
     table = default_table(extra_path=args.table)
     started = time.perf_counter()
@@ -157,6 +163,7 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from .bounds import closed_form_upper_3p, closed_form_upper_22p
     ps = _parse_p_range(args.p)
     columns = ["cor1", "cor2", "cor2_le_cor1"] if args.kind == "both" else [args.kind]
     started = time.perf_counter()
@@ -173,15 +180,17 @@ def _cmd_table(args) -> int:
 
 
 def _emit_certificate(args, command: str, cert: WitnessCertificate, seconds: float) -> int:
+    from .witnesses import UNVERIFIED, certificate_fields, format_certificate
     lines = format_certificate(cert).rstrip("\n").splitlines()
     _emit(args, command, certificate_fields(cert), lines, seconds, cert.nodes)
     return EXIT_UNDECIDED if cert.status == UNVERIFIED else EXIT_OK
 
 
 def _cmd_witness(args) -> int:
+    from .witnesses import base_witness, format_certificate
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
-    cert = base_witness(sig, args.q, budget=_parse_budget(args.verify_budget))
+    cert = base_witness(sig, args.q)
     seconds = time.perf_counter() - started
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -191,6 +200,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .witnesses import load_external_witness
     sig = _parse_sig(args.sig)
     started = time.perf_counter()
     cert = load_external_witness(args.graph, sig, args.q, budget=_parse_budget(args.budget),
@@ -210,8 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_arrow = sub.add_parser("arrow", help="decide whether a graph arrows a signature")
     p_arrow.add_argument("--graph", required=True, help="graph file (.g6 or .el), or - for stdin")
     p_arrow.add_argument("--sig", required=True, help="comma-separated signature, e.g. 2,2")
-    p_arrow.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="search-node budget (0 = unlimited; default 1e8)")
+    p_arrow.add_argument("--budget", type=int, help="search-node budget (0 = unlimited; default 1e8)")
     p_arrow.add_argument("--format", choices=sorted(_CODECS),
                          help="override the format inferred from the extension")
     add_common(p_arrow)
@@ -234,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_witness.add_argument("--sig", required=True)
     p_witness.add_argument("--q", type=int, required=True)
     p_witness.add_argument("--out", help="write the certificate record to this file")
-    p_witness.add_argument("--verify-budget", type=int, default=DEFAULT_BUDGET,
-                           help="search-node budget for verification (0 = unlimited)")
     add_common(p_witness)
     p_witness.set_defaults(handler=_cmd_witness)
 
@@ -243,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--graph", required=True, help="graph file (.g6 or .el), or - for stdin")
     p_verify.add_argument("--sig", required=True)
     p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                          help="search-node budget (0 = unlimited; default 1e8)")
+    p_verify.add_argument("--budget", type=int, help="search-node budget (0 = unlimited; default 1e8)")
     p_verify.add_argument("--format", choices=sorted(_CODECS),
                           help="override the format inferred from the extension")
     add_common(p_verify)

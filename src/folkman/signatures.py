@@ -77,6 +77,11 @@ def as_signature(sig: Signature | Iterable[int]) -> Signature:
     return normalize(sig)
 
 
+def folkman_exists(sig: Signature | Iterable[int], q: int) -> bool:
+    """F(a1,...,ar;q) exists exactly when q exceeds the largest part."""
+    return q > as_signature(sig).p
+
+
 def merge_at(sig1: Signature | Iterable[int], sig2: Signature | Iterable[int],
              position: int) -> Signature:
     """The signature a join witnesses: the two caps at `position` added.

@@ -10,13 +10,16 @@ is sound without searching the join).  Refutations carry concrete evidence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
-from .bounds import KnownTable, KnownValue, folkman_exists
 from .formats import parse_graph6, read_graph_file, serialize_graph6
-from .graphs import Graph, clique_number, complement, complete, cycle, has_clique, join, max_clique
-from .signatures import Signature, as_signature, merge_at
+from .graphs import (Graph, _co_components, _max_clique_mask, clique_number, complement,
+                     complete, cycle, has_clique, join, max_clique)
+from .signatures import Signature, as_signature, folkman_exists, merge_at
+
+if TYPE_CHECKING:
+    from .bounds import KnownTable
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -61,8 +64,7 @@ def _check(graph: Graph, sig: Signature, q: int, construction: str,
                               free_coloring=result.coloring, nodes=result.nodes)
 
 
-def base_witness(sig: Signature | Iterable[int], q: int,
-                 budget: int | None = DEFAULT_BUDGET) -> WitnessCertificate:
+def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
     """Construct and check the stock witness for (sig, q).
 
     For q > m the complete graph K_m is a witness outright: coloring its m
@@ -71,7 +73,7 @@ def base_witness(sig: Signature | Iterable[int], q: int,
     join(K_{m-p-1}, complement(C_{2p+1})) on m+p vertices with clique number
     m-1; it is never trusted, only certified after the engine confirms it.
     The engine decides its co-C_{2p+1} part by the rule in `arrowing`, at no
-    node, so `budget` does not bind here.  No construction is known for q < m.
+    node, so no budget is needed.  No construction is known for q < m.
     """
     sig = as_signature(sig)
     if sig.is_empty:
@@ -85,7 +87,7 @@ def base_witness(sig: Signature | Iterable[int], q: int,
         raise ValueError(f"no base construction known for q={q} < m={m}")
     graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))
     construction = f"join(complete({m - p - 1}), complement(cycle({2 * p + 1})))"
-    return _check(graph, sig, q, construction, budget)
+    return _check(graph, sig, q, construction, None)
 
 
 def _recheck_operand(c: WitnessCertificate) -> int:
@@ -144,6 +146,7 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
     graph = read_graph_file(path, fmt)
     cert = _check(graph, sig, q, f"external file {path}", budget)
     if cert.status == VERIFIED and table is not None:
+        from .bounds import KnownValue
         table.add(KnownValue(sig, q, None, graph.n, citation=cert.construction))
     return cert
 
@@ -216,9 +219,12 @@ def parse_certificate(text: str) -> WitnessCertificate:
         if len(free_coloring) != graph.n or not all(0 <= c < sig.r for c in free_coloring):
             raise ValueError(f"free coloring must give each of {graph.n} vertices "
                              f"one of {sig.r} colors")
-        if any(has_clique(graph, members, cap)
-               for members, cap in zip(color_classes(free_coloring, sig.r), sig.parts)):
-            raise ValueError("free coloring has a monochromatic forbidden clique")
+        # A clique number by the greedy-coloring branch and bound: it shares no
+        # code with the engine's clique check and is fast on large free classes.
+        for members, cap in zip(color_classes(free_coloring, sig.r), sig.parts):
+            mask = sum(1 << v for v in members)
+            if _max_clique_mask(graph.adj, _co_components(graph.adj, mask)).bit_count() >= cap:
+                raise ValueError("free coloring has a monochromatic forbidden clique")
     if clique is not None:
         if len(set(clique)) != len(clique) or not all(0 <= v < graph.n for v in clique):
             raise ValueError(f"clique vertices must be distinct and below {graph.n}")

@@ -92,7 +92,9 @@ def _rejected_by_the_parser(capsys, argv, command):
 
 
 _SEARCH_COMMANDS = ("arrow", "witness", "verify")
-_BUDGET_FLAG = {"arrow": "--budget", "witness": "--verify-budget", "verify": "--budget"}
+_BUDGET_FLAG = {"arrow": "--budget", "verify": "--budget"}
+_FAULTS = ("unknown-flag", "missing-required", "bad-budget", "abbreviated-json",
+           "abbreviated-budget")
 
 
 def _valid_argv(command, graph_path):
@@ -108,9 +110,16 @@ def test_jobs_flag_is_a_usage_error(capsys, c5_path):
         _rejected_by_the_parser(capsys, argv + ["--jobs", "2"], command)
 
 
-@pytest.mark.parametrize("command", _SEARCH_COMMANDS)
-@pytest.mark.parametrize("fault", ["unknown-flag", "missing-required", "bad-budget",
-                                   "abbreviated-json", "abbreviated-budget"])
+def test_witness_budget_flag_is_a_usage_error(capsys):
+    # A stock witness is decided at no node, so `witness` takes no budget.
+    argv = _valid_argv("witness", None)
+    assert run_cli(capsys, argv)[0] == 0
+    _rejected_by_the_parser(capsys, argv + ["--verify-budget", "5"], "witness")
+
+
+@pytest.mark.parametrize("fault,command", [
+    (fault, command) for fault in _FAULTS for command in _SEARCH_COMMANDS
+    if "budget" not in fault or command in _BUDGET_FLAG])
 def test_parser_errors_exit_one(capsys, c5_path, command, fault):
     argv = _valid_argv(command, c5_path)
     if fault == "unknown-flag":
@@ -120,7 +129,7 @@ def test_parser_errors_exit_one(capsys, c5_path, command, fault):
     elif fault == "abbreviated-json":
         argv.append("--js")  # flags count only when written out in full
     elif fault == "abbreviated-budget":
-        argv += [_BUDGET_FLAG[command][:-5], "10"]  # --b, --verify-b
+        argv += [_BUDGET_FLAG[command][:-5], "10"]  # --b
     else:
         argv += [_BUDGET_FLAG[command], "abc"]
     _rejected_by_the_parser(capsys, argv, command)
@@ -331,22 +340,64 @@ def test_a_closed_pipe_ends_the_command_quietly(capsys, monkeypatch, tmp_path):
     assert capsys.readouterr().err == ""
 
 
-def test_module_entry_point(c5_path):
-    # The child interpreter imports the same package this test process does.
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports the same package
+    this test process does."""
     src = str(Path(folkman.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_module_entry_point(c5_path):
     proc = subprocess.run(
         [sys.executable, "-m", "folkman.cli", "arrow", "--graph", c5_path,
          "--sig", "2,2"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=_child_env())
     assert proc.returncode == 0
     assert "arrows: true" in proc.stdout
 
 
 def test_importing_the_cli_loads_no_multiprocessing():
-    src = str(Path(folkman.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, folkman.cli; assert 'multiprocessing' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
+
+
+_BOUND_MODULES = {"folkman.signatures", "folkman.formats", "folkman.graphs", "folkman.bounds"}
+_ARROW_MODULES = {"folkman.signatures", "folkman.formats", "folkman.graphs", "folkman.arrowing"}
+_COMMAND_MODULES = {"bound": _BOUND_MODULES, "table": _BOUND_MODULES, "arrow": _ARROW_MODULES,
+                    "witness": _ARROW_MODULES | {"folkman.witnesses"},
+                    "verify": _ARROW_MODULES | {"folkman.witnesses"}}
+
+# Runs `python -m folkman.cli ARGS` in this interpreter, then prints on the
+# last line of stderr the package's submodules it loaded.
+_MODULES_PROBE = """
+import runpy, sys
+sys.argv = ["folkman", *sys.argv[1:]]
+try:
+    runpy.run_module("folkman.cli", run_name="__main__")
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("folkman."))), file=sys.stderr)
+"""
+
+
+def test_importing_the_package_loads_no_submodule():
+    # A submodule is still an attribute of the package, imported on first use.
+    code = ("import sys, folkman; print(sorted(m for m in sys.modules if 'folkman' in m)); "
+            "print(folkman.graphs.__name__, folkman.cycle.__module__)")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["['folkman']", "folkman.graphs folkman.graphs"]
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(c5_path, command):
+    argv = {"arrow": ["--graph", c5_path, "--sig", "2,2"],
+            "bound": ["--sig", "3,9", "--q", "10"],
+            "table": ["--kind", "both", "--p", "4..12"],
+            "witness": ["--sig", "3,3", "--q", "5"],
+            "verify": ["--graph", c5_path, "--sig", "2,2", "--q", "3"]}[command]
+    proc = subprocess.run([sys.executable, "-c", _MODULES_PROBE, command, *argv, "--json"],
+                          env=_child_env(), capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout)["command"] == command
+    assert set(proc.stderr.splitlines()[-1].split()) == _COMMAND_MODULES[command]

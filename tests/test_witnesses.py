@@ -10,7 +10,7 @@ from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, best_bou
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
 from folkman.signatures import normalize
-from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED,
+from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED, WitnessCertificate,
                                base_witness, compose_witness,
                                format_certificate, load_external_witness,
                                parse_certificate)
@@ -80,16 +80,8 @@ def test_base_witness_errors():
         base_witness([3, 4], 4)  # q <= p: does not exist
     with pytest.raises(ValueError):
         base_witness(normalize([1]), 3)
-
-
-def test_base_witness_budget_alone_bounds_verification():
-    # The co-C19 part of the 20-vertex witness is decided by the walk rule,
-    # at no node, so the smallest budget verifies it.
-    sig = normalize([2, 2, 9])
-    for budget in (None, 1):
-        cert = base_witness(sig, sig.m, budget=budget)
-        assert (cert.status, cert.nodes) == (VERIFIED, 0)
-        assert cert.proves_upper == 20
+    with pytest.raises(TypeError, match="budget"):
+        base_witness([2, 2, 9], 12, budget=1)  # decided at no node: no budget to give
 
 
 def test_compose_two_pentagon_witnesses():
@@ -325,6 +317,37 @@ def test_certificate_round_trip_with_evidence(tmp_path):
     back = parse_certificate(format_certificate(cert))
     assert back.status == REFUTED
     assert back.free_coloring == cert.free_coloring
+
+
+def test_large_free_coloring_evidence_round_trips(tmp_path, monkeypatch):
+    # The whole co-C63 in the class capped at 32 (its clique number is 31),
+    # and join(K1, co-C63), the stock (2,2,31) witness, against (2,2,32):
+    # the refutations `load_external_witness` writes.  Their classes are
+    # checked by clique number, never by the engine's has_clique search,
+    # which took seconds on them.
+    co_c63 = complement(cycle(63))
+    for graph, sig, q in ((co_c63, [2, 32], 33), (join(complete(1), co_c63), [2, 2, 32], 33)):
+        path = tmp_path / "w.g6"
+        path.write_text(serialize_graph6(graph) + "\n")
+        cert = load_external_witness(str(path), sig, q)
+        assert cert.status == REFUTED and cert.free_coloring is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(witnesses, "has_clique", None)
+            back = parse_certificate(format_certificate(cert))
+        assert (back.graph, back.signature, back.q, back.status, back.free_coloring) == (
+            cert.graph, cert.signature, cert.q, REFUTED, cert.free_coloring)
+
+
+def test_free_coloring_evidence_with_a_cap_sized_clique_is_rejected():
+    # Every vertex in the last class: its clique number, 31 on co-C63 and 32
+    # on join(K1, co-C63), reaches that class's cap.
+    co_c63 = complement(cycle(63))
+    for graph, sig in ((co_c63, [2, 31]), (join(complete(1), co_c63), [2, 2, 32])):
+        sig = normalize(sig)
+        forged = WitnessCertificate(graph, sig, sig.p + 1, REFUTED, "by hand",
+                                    free_coloring=(sig.r - 1,) * graph.n)
+        with pytest.raises(ValueError, match="forbidden clique"):
+            parse_certificate(format_certificate(forged))
 
 
 def test_certificate_parse_errors():
