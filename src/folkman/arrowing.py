@@ -9,17 +9,23 @@ least k; every other part is decided on its own, under each way of sharing
 the room that can matter.  A co-connected graph is one part, searched
 whole.  Every search runs in the calling process.
 
-A part's search, `_extend`, assigns colors vertex by vertex in smallest-last
-order (`_vertex_order`), prunes a branch as soon as a class would acquire its
-forbidden clique, and breaks symmetry among colors with equal caps by
-first-use order.  A part whose caps are all 2 asks only for a proper
-r-coloring, and `_color` decides it with forward checking (Haralick &
-Elliott 1980) on bitset domains: class c's forbidden set is the union of
-its vertices' neighbour rows, a vertex with no color left prunes the branch
-at once, and a vertex with one color left, or else one of those with two
-left that has the most uncolored neighbours, as in DSATUR (Brelaz 1979), is
-colored before the next in smallest-last order.  The same symmetry rule and
-node budget apply.
+Each part is numbered once, before any decision: a part decided by the rule
+below along its walk, any other in smallest-last order (`_vertex_order`),
+with its neighbour rows renumbered to match.  Every decision works in those
+positions, so the lowest vertex of a set is its earliest in search order, and
+the masks it finds are mapped back to input labels in one place.
+
+A part's search, `_extend`, assigns colors vertex by vertex in that order,
+prunes a branch as soon as a class would acquire its forbidden clique, asked
+of `graphs._mask_has_clique` in the same positions, and breaks symmetry
+among colors with equal caps by first-use order.  A part whose caps are all
+2 asks only for a proper r-coloring, and `_color` decides it with forward
+checking (Haralick & Elliott 1980) on bitset domains: class c's forbidden
+set is the union of its vertices' neighbour rows, a vertex with no color
+left prunes the branch at once, and a vertex with one color left, or else
+one of those with two left that has the most uncolored neighbours, as in
+DSATUR (Brelaz 1979), is colored before the next in smallest-last order.
+The same symmetry rule and node budget apply.
 
 A part whose complement is one path or one cycle, such as the co-C_{2p+1}
 of every stock witness, is found by `_co_walk` and decided by a rule, with
@@ -40,8 +46,7 @@ Conversely, consecutive arcs of 2*d_i vertices, the last one cut short,
 cover the walk when the sum holds, and an arc of L <= 2*d_i vertices has
 omega = ceil(L/2) <= d_i, or floor(n/2) if it closes the cycle; otherwise
 the class with d_i >= floor(n/2) takes the whole cycle.  The coloring is
-built in O(n).  Every other part keeps its input labels and
-`graphs._mask_has_clique`.
+built in O(n), as one arc mask per class.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -103,47 +108,31 @@ class _Budget:
         self.limit = limit
 
 
-def _extend(adj: tuple[int, ...], parts: tuple[int, ...], order: Sequence[int],
-            pos: int, masks: list[int], budget: _Budget) -> bool:
-    """True iff order[pos:] can be placed on top of `masks`, which then hold
-    the free coloring; False once the subtree is exhausted."""
-    if pos == len(order):
+def _extend(rows: list[int], caps: tuple[int, ...], pos: int, masks: list[int],
+            budget: _Budget) -> bool:
+    """True iff the vertices from `pos` on can be placed on top of `masks`,
+    which then hold the free coloring; False once the subtree is exhausted.
+    Vertex i is the part's i-th in search order, bit i of `masks`."""
+    if pos == len(rows):
         return True
-    v = order[pos]
-    vbit = 1 << v
-    nbrs = adj[v]
-    for c, cap in enumerate(parts):
+    vbit = 1 << pos
+    nbrs = rows[pos]
+    for c, cap in enumerate(caps):
         # Colors with equal caps are interchangeable while empty: only the
         # first empty one in each group may receive its first vertex.
-        if c and parts[c - 1] == cap and not masks[c - 1]:
+        if c and caps[c - 1] == cap and not masks[c - 1]:
             continue
         if budget.nodes == budget.limit:
             raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
         budget.nodes += 1
         # Cap 2 forbids an edge: a class may take v only with no neighbour.
-        if masks[c] & nbrs if cap == 2 else _mask_has_clique(adj, masks[c] & nbrs, cap - 1):
+        if masks[c] & nbrs if cap == 2 else _mask_has_clique(rows, masks[c] & nbrs, cap - 1):
             continue
         masks[c] |= vbit
-        if _extend(adj, parts, order, pos + 1, masks, budget):
+        if _extend(rows, caps, pos + 1, masks, budget):
             return True  # keep masks intact: they hold the coloring
         masks[c] &= ~vbit
     return False
-
-
-def _color_block(adj: tuple[int, ...], r: int, order: Sequence[int], masks: list[int],
-                 budget: _Budget) -> bool:
-    """`_extend` for caps that are all 2: True iff the vertices of `order`
-    have a proper r-coloring, which the r zeroed `masks` then hold.
-
-    The search runs on the order's positions, so bit i is order[i] and the
-    lowest bit of a set is its earliest vertex in smallest-last order."""
-    bits = [1 << i for i in range(len(order))]
-    rows = [sum([bit for u, bit in zip(order, bits) if adj[v] >> u & 1]) for v in order]
-    if not _color(rows, bits[-1] * 2 - 1, masks, [0] * r, 0, budget):
-        return False
-    for c, mask in enumerate(masks):
-        masks[c] = sum([1 << v for v, bit in zip(order, bits) if mask & bit])
-    return True
 
 
 def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: int,
@@ -219,24 +208,14 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     removed until none is left, and the search takes them in reverse.  On a
     regular part such as co-C_{2p+1} this puts a maximum clique first.
 
-    `buckets[k]` holds the vertices left with key k, and the least key is
-    removed first.  The key starts as the degree inside `block`.  In a
-    sparse block it stays the degree: a removal lowers each neighbour's key.
-    In a dense block it is the degree plus the number removed, which ranks
-    the vertices the same: a removal raises each non-neighbour's key, so
-    co-C_{2p+1} moves 2 vertices per removal, not 2p - 2.
+    `buckets[k]` holds the vertices left with k neighbours left, and the
+    least such k is removed first.  A removal moves each of its neighbours
+    down one bucket, so the least k drops by at most one.
     """
     verts = [v for v in range(len(adj)) if block >> v & 1]
-    rows = [row & block for row in adj]
-    key = [row.bit_count() for row in rows]
-    n = len(verts)
-    dense = 2 * sum([key[v] for v in verts]) > n * (n - 1)
-    step = 1 if dense else -1
-    buckets = [0] * n
+    buckets = [0] * len(verts)
     for v in verts:
-        buckets[key[v]] |= 1 << v
-        if dense:
-            rows[v] ^= block ^ 1 << v
+        buckets[(adj[v] & block).bit_count()] |= 1 << v
     removed = []
     left = block
     lo = 0
@@ -250,16 +229,17 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
         left ^= vbit
         v = vbit.bit_length() - 1
         removed.append(v)
-        rest = rows[v] & left
-        while rest:
-            ubit = rest & -rest
-            rest ^= ubit
-            u = ubit.bit_length() - 1
-            k = key[u]
-            buckets[k] ^= ubit
-            key[u] = k = k + step
-            buckets[k] |= ubit
-        if lo and not dense:
+        # Each neighbour left moves down one bucket.  Its key is at least lo,
+        # and at least 1 while v was left, so at k = 0 nothing moves.
+        nbrs = adj[v] & left
+        k = lo
+        while nbrs:
+            moved = buckets[k] & nbrs
+            buckets[k] ^= moved
+            buckets[k - 1] |= moved
+            nbrs ^= moved
+            k += 1
+        if lo:
             lo -= 1
     removed.reverse()
     return removed
@@ -297,21 +277,20 @@ def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
     return (walk, closed) if seen == block else None
 
 
-def _walk_coloring(walk: list[int], closed: bool, caps: tuple[int, ...]) -> list[int] | None:
-    """One mask per cap of a free coloring of the co-P_n or co-C_n along
-    `walk` (co-C_n if `closed`), or None if there is none: the rule of the
-    module docstring.  Caps ascend, so the last class is the widest."""
-    n = len(walk)
+def _walk_coloring(n: int, closed: bool, caps: tuple[int, ...]) -> list[int] | None:
+    """One mask per cap of a free coloring of co-P_n, or co-C_n if `closed`,
+    numbered 0..n-1 along its walk, or None if there is none: the rule of
+    the module docstring.  Caps ascend, so the last class is the widest."""
     rooms = [cap - 1 for cap in caps]
     if closed and rooms and 2 * rooms[-1] >= n - 1:  # room for the whole cycle
-        return [0] * (len(rooms) - 1) + [sum([1 << v for v in walk])]
+        return [0] * (len(rooms) - 1) + [(1 << n) - 1]
     if 2 * sum(rooms) < n:
         return None
     masks = []
     start = 0
     for room in rooms:
         end = min(start + 2 * room, n)
-        masks.append(sum([1 << v for v in walk[start:end]]))
+        masks.append((1 << end) - (1 << start))
         start = end
     return masks
 
@@ -356,14 +335,23 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
             singles |= block
     big.sort(key=int.bit_count)  # the largest block is placed last
     k = singles.bit_count()
-    # Each block's walk, when a rule decides it, else its search order.
+    # Each block's walk, when the rule decides it.
     walks = [_co_walk(adj, block) for block in big]
     if parts:
         need = parts[-1] - k - sum([(len(walk) + (not closed)) // 2
                                     for walk, closed in filter(None, walks)])
         if not _join_has_clique(adj, [b for b, walked in zip(big, walks) if not walked], need):
             return [0] * (r - 1) + [singles | sum(big)]
-    orders = [None if walked else _vertex_order(adj, block) for block, walked in zip(big, walks)]
+    # Each block is numbered once, along its walk or else in smallest-last
+    # order, and a searched block's rows are renumbered to match: vertex i
+    # is orders[j][i], bit i of every mask a decision finds.
+    orders = [walked[0] if walked else _vertex_order(adj, block)
+              for block, walked in zip(big, walks)]
+    rows: list[list[int] | None] = [None] * len(big)
+    for j, order in enumerate(orders):
+        if walks[j] is None:
+            bits = [1 << i for i in range(len(order))]
+            rows[j] = [sum([bit for u, bit in zip(order, bits) if adj[v] >> u & 1]) for v in order]
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
     placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...]] | None] = {}
 
@@ -374,17 +362,25 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         caps = tuple(d[c] + 1 for c in live)
         key = (big[j], caps)
         if key not in decided:
+            order = orders[j]
             if walks[j] is not None:
-                decided[key] = _walk_coloring(*walks[j], caps)
+                found = _walk_coloring(len(order), walks[j][1], caps)
             else:
                 masks = [0] * len(caps)
                 # Caps ascend, so a last cap of 2 asks for a proper coloring.
                 # No caps at all stay with `_extend`: no coloring, at no node.
                 if caps and caps[-1] == 2:
-                    ok = _color_block(adj, len(caps), orders[j], masks, bud)
+                    ok = _color(rows[j], (1 << len(order)) - 1, masks, [0] * len(caps), 0, bud)
                 else:
-                    ok = _extend(adj, caps, orders[j], 0, masks, bud)
-                decided[key] = masks if ok else None
+                    ok = _extend(rows[j], caps, 0, masks, bud)
+                found = masks if ok else None
+            for c, mask in enumerate(found or ()):  # back to input labels
+                label = 0
+                while mask:
+                    label |= 1 << order[(mask & -mask).bit_length() - 1]
+                    mask &= mask - 1
+                found[c] = label
+            decided[key] = found
         found = decided[key]
         if found is None:
             return None

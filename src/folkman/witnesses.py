@@ -196,7 +196,10 @@ def parse_certificate(text: str) -> WitnessCertificate:
         key, sep, value = ln.partition(":")
         if not sep:
             raise ValueError(f"malformed certificate line {ln!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:  # a later copy must not overwrite a field
+            raise ValueError(f"certificate repeats field {key!r}")
+        fields[key] = value.strip()
     for required in ("graph6", "signature", "q", "status", "construction"):
         if required not in fields:
             raise ValueError(f"certificate missing field {required!r}")

@@ -185,10 +185,10 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     searched = []
     real = arrowing._extend
 
-    def spy(adj, parts, order, pos, *rest):
+    def spy(rows, caps, pos, *rest):
         if pos == 0:
-            searched.append(len(order))
-        return real(adj, parts, order, pos, *rest)
+            searched.append(len(rows))
+        return real(rows, caps, pos, *rest)
 
     monkeypatch.setattr(arrowing, "_extend", spy)
     assert verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1)
@@ -197,9 +197,9 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     walks = []
     real_rule = arrowing._walk_coloring
 
-    def rule_spy(walk, closed, caps):
-        walks.append((len(walk), closed))
-        return real_rule(walk, closed, caps)
+    def rule_spy(n, closed, caps):
+        walks.append((n, closed))
+        return real_rule(n, closed, caps)
 
     monkeypatch.setattr(arrowing, "_walk_coloring", rule_spy)
     searched.clear()
@@ -270,6 +270,32 @@ def test_the_search_corpus_keeps_its_tree_shape():
             result = find_free_coloring(g, free_parts)
             assert (result.verdict, result.nodes) == (FREE, free_nodes), free_parts
             assert coloring_is_free(g, free_parts, result.coloring)
+
+
+# General parts, which no rule decides: each signature's verdict, "arrows"
+# with its node count or a free coloring with its count.  Caps of 3 and more
+# run `_extend`, all-2 caps `_color`; the join of four copies of C13 is
+# placed block by block, so its free coloring is mapped back from several
+# blocks.
+C12 = circulant(12, (1, 4, 5, 6))
+C17 = circulant(17, (1, 2, 3, 4, 5, 7))
+GENERAL_PART_NODES = {
+    "C13": (C13, {(3, 4): 632, (2, 2, 4): 1_007, (2, 3, 3): 1_480},
+            {(4, 4): 36, (2, 4, 4): 27}),
+    "C12": (C12, {(2, 2, 2, 3): 1_816}, {(2, 2, 2, 4): 72, (2, 2, 3, 3): 41}),
+    "C17": (C17, {(2, 4, 4): 14_839}, {(2, 4, 5): 55, (3, 4, 4): 105}),
+    "4 x C13": (join(join(C13, C13), join(C13, C13)), {(3, 16): 2_984}, {(4, 16): 492}),
+}
+
+
+def test_general_parts_keep_their_tree_shape():
+    for name, (g, arrowing_sigs, free_sigs) in GENERAL_PART_NODES.items():
+        for parts, nodes in arrowing_sigs.items():
+            assert find_free_coloring(g, parts) == SearchResult(ARROWS, None, nodes), (name, parts)
+        for parts, nodes in free_sigs.items():
+            result = find_free_coloring(g, parts)
+            assert (result.verdict, result.nodes) == (FREE, nodes), (name, parts)
+            assert _free_under(g, parts, result), (name, parts)
 
 
 def _relabelled(g, seed):
@@ -364,7 +390,7 @@ def test_every_rule_coloring_is_free():
     for n in range(2, 65):
         for closed in (False, True) if n >= 3 else (False,):
             for caps in rng.sample(sigs, 40):
-                masks = arrowing._walk_coloring(list(range(n)), closed, caps)
+                masks = arrowing._walk_coloring(n, closed, caps)
                 rooms = [cap - 1 for cap in caps]
                 expected = 2 * sum(rooms) >= n or closed and 2 * max(rooms) >= n - 1
                 assert (masks is not None) == expected, (n, closed, caps)
@@ -479,7 +505,7 @@ def test_a_zero_share_is_no_coloring_at_no_node(monkeypatch):
     def no_coloring_search(*args):
         raise AssertionError("a zero share searched for a coloring")
 
-    monkeypatch.setattr(arrowing, "_color_block", no_coloring_search)
+    monkeypatch.setattr(arrowing, "_color", no_coloring_search)
     for k in (2, 3):
         g = join(complete(k), cycle(5))
         assert find_free_coloring(g, [2] * k) == SearchResult(ARROWS, None, 0)

@@ -415,6 +415,21 @@ def test_certificate_q_must_exceed_the_largest_part():
     assert parse_certificate(_c5_certificate("2,2", 3, VERIFIED, "")).proves_upper == 5
 
 
+def test_certificate_fields_must_not_repeat():
+    # Kept last-wins, a second signature line would turn this verified
+    # (2,2;3) record for C5 into a verified (2,2,2;3) claim, which is false:
+    # C5 is 3-colorable.
+    good = _c5_certificate("2,2", 3, VERIFIED, "")
+    assert parse_certificate(good).status == VERIFIED
+    refuted = _c5_certificate("3,3", 4, REFUTED, "free-coloring: 0,0,1,1,0\n")
+    for text, field in ((good + "signature: 2,2,2\n", "signature"),
+                        (good + "status: verified\n", "status"),
+                        (good + "q: 4\n", "q"),
+                        (refuted + "free-coloring: 0,0,1,1,0\n", "free-coloring")):
+        with pytest.raises(ValueError, match=f"repeats field '{field}'"):
+            parse_certificate(text)
+
+
 def test_verified_small_certificates_confirmed_by_naive_oracle():
     rng = random.Random(606)
     candidates = []
