@@ -57,12 +57,11 @@ run: a used-up budget raises BudgetExceededError out of the search, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _co_components, _join_has_clique, _mask_has_clique, has_clique,
                      join)
-from .signatures import Signature, as_signature, merge_at
+from .signatures import Signature, _Record, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -75,17 +74,19 @@ class BudgetExceededError(RuntimeError):
     "undecided"; callers that return a bool, such as `arrows`, raise it."""
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(_Record):
     """Outcome of one arrowing search.
 
     `coloring` maps vertex -> color index (0-based) when the verdict is a
     free coloring, else None.  `nodes` counts search-tree nodes expanded.
     """
 
-    verdict: str
-    coloring: tuple[int, ...] | None
-    nodes: int
+    __slots__ = ("verdict", "coloring", "nodes")
+
+    def __init__(self, verdict: str, coloring: tuple[int, ...] | None, nodes: int):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "coloring", coloring)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def decided(self) -> bool:

@@ -8,13 +8,13 @@ cited values that produced each side.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cache
 from importlib import resources
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .signatures import Signature, as_signature, folkman_exists, normalize
+from .signatures import Signature, _Record, as_signature, folkman_exists, normalize
 
 RULE_EXISTS_FAIL = "EXISTS-FAIL"
 RULE_Q_GT_M = "Q-GT-M"
@@ -34,55 +34,61 @@ ENV_TABLE_PATH = "FOLKMAN_TABLE"
 MIN_COMPOSE_PART = 4
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(_Record):
     """One node of a provenance tree: rule id, human detail, child rules."""
 
-    name: str
-    detail: str = ""
-    children: tuple["Rule", ...] = ()
+    __slots__ = ("name", "detail", "children")
+
+    def __init__(self, name: str, detail: str = "", children: tuple[Rule, ...] = ()):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "detail", detail)
+        object.__setattr__(self, "children", children)
 
 
-@dataclass(frozen=True, slots=True)
-class BoundRecord:
+class BoundRecord(_Record):
     """Lower/upper bounds for one (signature, q) with provenance."""
 
-    signature: Signature
-    q: int
-    lower: int | None
-    upper: int | None
-    provenance: tuple[Rule, ...] = ()
-    note: str = ""
+    __slots__ = ("signature", "q", "lower", "upper", "provenance", "note")
 
-    def __post_init__(self):
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
+    def __init__(self, signature: Signature, q: int, lower: int | None, upper: int | None,
+                 provenance: tuple[Rule, ...] = (), note: str = ""):
+        if lower is not None and upper is not None and lower > upper:
             raise ValueError(
-                f"inconsistent bounds for F({self.signature};{self.q}): "
-                f"lower {self.lower} > upper {self.upper}")
+                f"inconsistent bounds for F({signature};{q}): lower {lower} > upper {upper}")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "provenance", provenance)
+        object.__setattr__(self, "note", note)
 
     @property
     def exact(self) -> bool:
         return self.lower is not None and self.lower == self.upper
 
 
-@dataclass(frozen=True)
-class KnownValue:
+class KnownValue(_Record):
     """One known-values table entry; signature stored normalized.  `source`
-    says where the entry was read, as ``file:line``, when it came from a file.
+    says where the entry was read, as ``file:line``, when it came from a file;
+    equality and hashing ignore it.
     """
 
-    signature: Signature
-    q: int
-    lower: int | None
-    upper: int | None
-    citation: str
-    source: str = field(default="", compare=False)
+    __slots__ = ("signature", "q", "lower", "upper", "citation", "source")
 
-    def __post_init__(self):
-        if self.lower is None and self.upper is None:
+    def __init__(self, signature: Signature, q: int, lower: int | None, upper: int | None,
+                 citation: str, source: str = ""):
+        if lower is None and upper is None:
             raise ValueError("known value needs at least one side")
-        if self.lower is not None and self.upper is not None and self.lower > self.upper:
-            raise ValueError(f"known value has lower {self.lower} > upper {self.upper}")
+        if lower is not None and upper is not None and lower > upper:
+            raise ValueError(f"known value has lower {lower} > upper {upper}")
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "citation", citation)
+        object.__setattr__(self, "source", source)
+
+    _key = attrgetter("signature", "q", "lower", "upper", "citation")
 
 
 class KnownTable:
@@ -369,14 +375,23 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     return BoundRecord(sig, q, lower, upper, tuple(provenance), rec.note if lower is None and upper is None else "")
 
 
-@dataclass
-class RecurrenceReport:
-    """Outcome of the self-consistency sweep over the two boundary families."""
+class RecurrenceReport(_Record):
+    """Outcome of the self-consistency sweep over the two boundary families.
+    Unlike the other records it is filled in place, so it is mutable and
+    unhashable."""
 
-    p_max: int
-    checks: int = 0
-    violations: list[str] = field(default_factory=list)
-    conjectured_quarter_bound_holds: list[tuple[str, int]] = field(default_factory=list)
+    __slots__ = ("p_max", "checks", "violations", "conjectured_quarter_bound_holds")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, p_max: int, checks: int = 0, violations: list[str] | None = None,
+                 conjectured_quarter_bound_holds: list[tuple[str, int]] | None = None):
+        self.p_max = p_max
+        self.checks = checks
+        self.violations = [] if violations is None else violations
+        self.conjectured_quarter_bound_holds = ([] if conjectured_quarter_bound_holds is None
+                                                else conjectured_quarter_bound_holds)
 
     @property
     def ok(self) -> bool:

@@ -12,8 +12,9 @@ into co-components (the components of the complement) that `arrowing` shares.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
+
+from .signatures import _Record
 
 MAX_VERTICES = 64
 
@@ -48,14 +49,14 @@ def _transpose(matrix: int) -> int:
     return matrix
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Finite simple graph: vertex count plus one neighbor bitset per vertex."""
 
-    n: int
-    adj: tuple[int, ...]
+    __slots__ = ("n", "adj")
 
-    def __post_init__(self):
+    def __init__(self, n: int, adj: tuple[int, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
         if self.n < 0 or self.n > MAX_VERTICES:
             raise ValueError(f"vertex count {self.n} outside supported range 0..{MAX_VERTICES}")
         if len(self.adj) != self.n:

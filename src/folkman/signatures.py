@@ -8,26 +8,69 @@ and a1 <= ... <= ar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class Signature:
+class _Record:
+    """Base of the package's immutable records, whose fields are the
+    subclass's `__slots__` in order: they compare, hash and print by their
+    fields as frozen dataclasses do.  Each `__init__` sets its fields with one
+    `object.__setattr__` call apiece, as a frozen dataclass does; a shared
+    helper's call and loop showed in the `certify` benchmark's call times.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        # What == and hash compare, unless the class names it: every field.
+        # An attrgetter is no method, so it is called as self._key(record).
+        if "_key" not in cls.__dict__:
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
+
+
+@total_ordering
+class Signature(_Record):
     """Normalized list of per-color clique caps.
 
     `parts` may be empty: that is the reserved signature obtained by
     normalizing an all-ones input, for which arrowing degenerates to
-    "the graph has at least one vertex".
+    "the graph has at least one vertex".  Signatures order by `parts`.
     """
 
-    parts: tuple[int, ...]
+    __slots__ = ("parts",)
 
-    def __post_init__(self):
-        if any(a < 2 for a in self.parts):
-            raise ValueError(f"signature parts must be >= 2 after normalization: {self.parts}")
-        if tuple(sorted(self.parts)) != self.parts:
-            raise ValueError(f"signature parts must be sorted ascending: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if any(a < 2 for a in parts):
+            raise ValueError(f"signature parts must be >= 2 after normalization: {parts}")
+        if tuple(sorted(parts)) != parts:
+            raise ValueError(f"signature parts must be sorted ascending: {parts}")
+        object.__setattr__(self, "parts", parts)
+
+    def __lt__(self, other):
+        return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def r(self) -> int:

@@ -9,14 +9,13 @@ is sound without searching the join).  Refutations carry concrete evidence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import (Graph, _co_components, _max_clique_mask, clique_number, complement,
                      complete, cycle, has_clique, join, max_clique)
-from .signatures import Signature, as_signature, folkman_exists, merge_at
+from .signatures import Signature, _Record, as_signature, folkman_exists, merge_at
 
 if TYPE_CHECKING:
     from .bounds import KnownTable
@@ -26,21 +25,26 @@ UNVERIFIED = "unverified"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class WitnessCertificate:
+class WitnessCertificate(_Record):
     """A graph, the claim it witnesses, and how the claim was checked.
 
     A verified certificate on n vertices proves F(signature; q) <= n.
     """
 
-    graph: Graph
-    signature: Signature
-    q: int
-    status: str
-    construction: str
-    free_coloring: tuple[int, ...] | None = None
-    clique: tuple[int, ...] | None = None
-    nodes: int = 0
+    __slots__ = ("graph", "signature", "q", "status", "construction", "free_coloring",
+                 "clique", "nodes")
+
+    def __init__(self, graph: Graph, signature: Signature, q: int, status: str,
+                 construction: str, free_coloring: tuple[int, ...] | None = None,
+                 clique: tuple[int, ...] | None = None, nodes: int = 0):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "construction", construction)
+        object.__setattr__(self, "free_coloring", free_coloring)
+        object.__setattr__(self, "clique", clique)
+        object.__setattr__(self, "nodes", nodes)
 
     @property
     def vertices(self) -> int:
@@ -213,7 +217,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
         raise ValueError(f"unknown certificate status {status!r}")
     if "vertices" in fields and number("vertices", fields["vertices"]) != graph.n:
         raise ValueError(f"certificate says {fields['vertices']} vertices, graph has {graph.n}")
-    evidence = {key: tuple(number(key, t) for t in fields[key].split(","))
+    # An empty list is the 0-vertex graph's free coloring.
+    evidence = {key: tuple(number(key, t) for t in fields[key].split(",")) if fields[key] else ()
                 for key in ("free-coloring", "clique") if key in fields}
     if evidence and status != REFUTED:
         raise ValueError(f"status {status!r} cannot carry {' and '.join(evidence)} evidence")

@@ -500,15 +500,28 @@ def test_the_coloring_budget_stops_at_exactly_its_nodes():
 
 
 def test_a_zero_share_is_no_coloring_at_no_node(monkeypatch):
-    # The K_k of join(K_k, C5) takes all of (2,)*k's room, so the C5 block
-    # gets no cap at all: no coloring, and no node searched.
+    # The K_k of join(K_k, G) takes all of (2,)*k's room, so the block G gets
+    # no cap at all: no coloring, and no node searched.  G is the Grötzsch
+    # graph, no co-path or co-cycle, so the walk rule leaves it to a search,
+    # and the empty caps go to `_extend`, never to `_color`.
+    grotzsch = mycielskian(cycle(5))
+    assert arrowing._co_walk(grotzsch.adj, (1 << grotzsch.n) - 1) is None
+    extend, calls = arrowing._extend, []
+
+    def spy(rows, caps, pos, masks, budget):
+        calls.append((len(rows), caps, pos))
+        return extend(rows, caps, pos, masks, budget)
+
     def no_coloring_search(*args):
         raise AssertionError("a zero share searched for a coloring")
 
+    monkeypatch.setattr(arrowing, "_extend", spy)
     monkeypatch.setattr(arrowing, "_color", no_coloring_search)
     for k in (2, 3):
-        g = join(complete(k), cycle(5))
+        calls.clear()
+        g = join(complete(k), grotzsch)
         assert find_free_coloring(g, [2] * k) == SearchResult(ARROWS, None, 0)
+        assert calls == [(grotzsch.n, (), 0)]
 
 
 def test_oracle_equivalence_small():

@@ -369,15 +369,18 @@ _COMMAND_MODULES = {"bound": _BOUND_MODULES, "table": _BOUND_MODULES, "arrow": _
                     "verify": _ARROW_MODULES | {"folkman.witnesses"}}
 
 # Runs `python -m folkman.cli ARGS` in this interpreter, then prints on the
-# last line of stderr the package's submodules it loaded.
+# last line of stderr the package's submodules it loaded, and `dataclasses`
+# if the command loaded it (it pulls in `inspect`, `ast` and `dis`).
 _MODULES_PROBE = """
 import runpy, sys
+preloaded = set(sys.modules)
 sys.argv = ["folkman", *sys.argv[1:]]
 try:
     runpy.run_module("folkman.cli", run_name="__main__")
 except SystemExit as exc:
     assert exc.code == 0, exc.code
-print(" ".join(sorted(m for m in sys.modules if m.startswith("folkman."))), file=sys.stderr)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("folkman.")
+                      or m == "dataclasses" and m not in preloaded)), file=sys.stderr)
 """
 
 

@@ -319,6 +319,14 @@ def test_certificate_round_trip_with_evidence(tmp_path):
     assert back.free_coloring == cert.free_coloring
 
 
+def test_the_empty_graph_refutation_round_trips(tmp_path):
+    path = tmp_path / "empty.g6"
+    path.write_text("?\n")
+    cert = load_external_witness(str(path), [2, 2], 3)
+    assert cert.status == REFUTED and cert.free_coloring == ()
+    assert parse_certificate(format_certificate(cert)) == cert
+
+
 def test_large_free_coloring_evidence_round_trips(tmp_path, monkeypatch):
     # The whole co-C63 in the class capped at 32 (its clique number is 31),
     # and join(K1, co-C63), the stock (2,2,31) witness, against (2,2,32):
