@@ -88,10 +88,6 @@ class SearchResult(_Record):
         object.__setattr__(self, "coloring", coloring)
         object.__setattr__(self, "nodes", nodes)
 
-    @property
-    def decided(self) -> bool:
-        return self.verdict != UNDECIDED
-
 
 def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:
     """Split a vertex->color assignment into the r color classes."""

@@ -205,8 +205,6 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
     number does not exist.
     """
     sig = as_signature(sig)
-    if sig.is_empty:
-        raise ValueError("bounds are undefined for the empty signature")
     m, p = sig.m, sig.p
     if q <= p:
         return BoundRecord(

@@ -45,9 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_sig(text: str) -> Signature:
     try:
-        raw = [int(t) for t in text.split(",") if t.strip() != ""]
+        raw = [int(t) for t in text.split(",")]
     except ValueError:
-        raise ValueError(f"signature must be comma-separated integers, got {text!r}")
+        raise ValueError(f"signature must be comma-separated integers, got {text!r}") from None
     sig = normalize(raw)
     if tuple(raw) != sig.parts:
         print(f"note: signature {text} normalized to {sig}", file=sys.stderr)

@@ -12,7 +12,7 @@ into co-components (the components of the complement) that `arrowing` shares.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .signatures import _Record
 
@@ -116,10 +116,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete(n: int) -> Graph:
     """K_n: every distinct pair adjacent."""
-    if n < 0:
-        raise ValueError("vertex count must be nonnegative")
-    if n > MAX_VERTICES:
-        raise ValueError(f"vertex count {n} exceeds width cap {MAX_VERTICES}")
+    if not 0 <= n <= MAX_VERTICES:  # checked before K_n is built: n may come from outside
+        raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
     full = (1 << n) - 1
     return Graph(n, tuple(full & ~(1 << v) for v in range(n)))
 
@@ -139,8 +137,6 @@ def join(g1: Graph, g2: Graph) -> Graph:
     numbers.
     """
     n = g1.n + g2.n
-    if n > MAX_VERTICES:
-        raise ValueError(f"join on {n} vertices exceeds width cap {MAX_VERTICES}")
     mask1 = (1 << g1.n) - 1
     mask2 = ((1 << n) - 1) & ~mask1
     adj = [g1.adj[v] | mask2 for v in range(g1.n)]
@@ -294,6 +290,20 @@ def max_clique(g: Graph) -> list[int]:
     """One maximum clique: the union of one per co-component."""
     clique = _max_clique_mask(g.adj, _co_components(g.adj, (1 << g.n) - 1))
     return [v for v in range(g.n) if clique >> v & 1]
+
+
+def _is_free_coloring(g: Graph, parts: Sequence[int], coloring: Sequence[int]) -> bool:
+    """True iff no class c of `coloring` holds a clique of parts[c] vertices.
+
+    A class's clique number is the sum of its co-components' (the composition
+    law), each by `_max_clique_mask`'s branch and bound: it shares no code
+    with the engine's clique check and is fast on large free classes.
+    """
+    masks = [0] * len(parts)
+    for v, c in enumerate(coloring):
+        masks[c] |= 1 << v
+    return all(_max_clique_mask(g.adj, _co_components(g.adj, mask)).bit_count() < cap
+               for mask, cap in zip(masks, parts))
 
 
 def clique_number(g: Graph) -> int:

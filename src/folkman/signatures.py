@@ -129,12 +129,12 @@ def merge_at(sig1: Signature | Iterable[int], sig2: Signature | Iterable[int],
              position: int) -> Signature:
     """The signature a join witnesses: the two caps at `position` added.
 
-    Both signatures must be nonempty, of equal length, and agree everywhere
-    except (possibly) at `position`.
+    Both signatures must be of equal length, have a part at `position`, and
+    agree everywhere except (possibly) there.
     """
     sig1, sig2 = as_signature(sig1), as_signature(sig2)
-    if sig1.r != sig2.r or sig1.is_empty:
-        raise ValueError(f"signatures must be nonempty and of equal length: {sig1} vs {sig2}")
+    if sig1.r != sig2.r:
+        raise ValueError(f"signatures must be of equal length: {sig1} vs {sig2}")
     if not 0 <= position < sig1.r:
         raise ValueError(f"position {position} out of range for {sig1.r} parts")
     if any(a != b for j, (a, b) in enumerate(zip(sig1.parts, sig2.parts)) if j != position):

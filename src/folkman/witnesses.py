@@ -9,16 +9,13 @@ is sound without searching the join).  Refutations carry concrete evidence.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
-from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, color_classes, find_free_coloring
+from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
-from .graphs import (Graph, _co_components, _max_clique_mask, clique_number, complement,
-                     complete, cycle, has_clique, join, max_clique)
+from .graphs import (Graph, _is_free_coloring, clique_number, complement, complete, cycle,
+                     has_clique, join, max_clique)
 from .signatures import Signature, _Record, as_signature, folkman_exists, merge_at
-
-if TYPE_CHECKING:
-    from .bounds import KnownTable
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -58,11 +55,16 @@ class WitnessCertificate(_Record):
 def _check(graph: Graph, sig: Signature, q: int, construction: str,
            budget: int | None) -> WitnessCertificate:
     """Decide the claim graph in H(sig; q): a clique of q vertices refutes it
-    outright, else the engine decides arrowing within budget."""
+    outright, else the engine decides arrowing within budget.  A free
+    coloring is checked before it becomes evidence, so that every REFUTED
+    certificate written here passes `parse_certificate`'s check."""
     clique = max_clique(graph)
     if len(clique) >= q:
         return WitnessCertificate(graph, sig, q, REFUTED, construction, clique=tuple(clique))
     result = find_free_coloring(graph, sig, budget=budget)
+    if result.verdict == FREE and not _is_free_coloring(graph, sig.parts, result.coloring):
+        raise RuntimeError(f"the engine's free coloring of {construction} against ({sig}) "
+                           "has a monochromatic forbidden clique")
     status = {ARROWS: VERIFIED, FREE: REFUTED}.get(result.verdict, UNVERIFIED)
     return WitnessCertificate(graph, sig, q, status, construction,
                               free_coloring=result.coloring, nodes=result.nodes)
@@ -80,8 +82,6 @@ def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
     node, so no budget is needed.  No construction is known for q < m.
     """
     sig = as_signature(sig)
-    if sig.is_empty:
-        raise ValueError("no witness family for the empty signature")
     if not folkman_exists(sig, q):
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
     m, p = sig.m, sig.p
@@ -133,26 +133,18 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
 
 
 def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
-                          budget: int | None = DEFAULT_BUDGET, fmt: str | None = None,
-                          table: KnownTable | None = None) -> WitnessCertificate:
+                          budget: int | None = DEFAULT_BUDGET,
+                          fmt: str | None = None) -> WitnessCertificate:
     """Check an externally supplied witness graph against its claim.
 
     The clique number is checked exactly (a too-large clique refutes the
     claim with the clique as evidence), then arrowing is decided within
-    budget.  A verified witness is registered in `table` when one is given,
-    cited as coming from the file.
+    budget.
     """
     sig = as_signature(sig)
-    if sig.is_empty:
-        raise ValueError("external witnesses need a nonempty signature")
     if not folkman_exists(sig, q):
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
-    graph = read_graph_file(path, fmt)
-    cert = _check(graph, sig, q, f"external file {path}", budget)
-    if cert.status == VERIFIED and table is not None:
-        from .bounds import KnownValue
-        table.add(KnownValue(sig, q, None, graph.n, citation=cert.construction))
-    return cert
+    return _check(read_graph_file(path, fmt), sig, q, f"external file {path}", budget)
 
 
 _CERT_HEADER = "folkman-witness v1"
@@ -227,12 +219,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
         if len(free_coloring) != graph.n or not all(0 <= c < sig.r for c in free_coloring):
             raise ValueError(f"free coloring must give each of {graph.n} vertices "
                              f"one of {sig.r} colors")
-        # A clique number by the greedy-coloring branch and bound: it shares no
-        # code with the engine's clique check and is fast on large free classes.
-        for members, cap in zip(color_classes(free_coloring, sig.r), sig.parts):
-            mask = sum(1 << v for v in members)
-            if _max_clique_mask(graph.adj, _co_components(graph.adj, mask)).bit_count() >= cap:
-                raise ValueError("free coloring has a monochromatic forbidden clique")
+        if not _is_free_coloring(graph, sig.parts, free_coloring):
+            raise ValueError("free coloring has a monochromatic forbidden clique")
     if clique is not None:
         if len(set(clique)) != len(clique) or not all(0 <= v < graph.n for v in clique):
             raise ValueError(f"clique vertices must be distinct and below {graph.n}")

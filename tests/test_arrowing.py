@@ -295,7 +295,7 @@ def test_general_parts_keep_their_tree_shape():
         for parts, nodes in free_sigs.items():
             result = find_free_coloring(g, parts)
             assert (result.verdict, result.nodes) == (FREE, nodes), (name, parts)
-            assert _free_under(g, parts, result), (name, parts)
+            assert graphs._is_free_coloring(g, parts, result.coloring), (name, parts)
 
 
 def _relabelled(g, seed):
@@ -330,18 +330,6 @@ def test_the_walk_clique_check_matches_the_oracle():
                 assert not brute_subset_has_clique(g, verts, omega + 1), (n, s)
 
 
-def _free_under(g, parts, result):
-    """result is a free coloring of g under parts: each class's clique
-    number, the sum of its co-components' by branch and bound, is below its
-    cap.  `has_clique` would prove a class free by `_mask_has_clique`'s
-    exhaustive search, which on an arc of a large co-cycle takes seconds."""
-    for c, cap in enumerate(parts):
-        mask = sum(1 << v for v, color in enumerate(result.coloring) if color == c)
-        if graphs._max_clique_mask(g.adj, graphs._co_components(g.adj, mask)).bit_count() >= cap:
-            return False
-    return True
-
-
 def test_the_walk_rule_matches_the_general_search(monkeypatch):
     # Relabelled co-P_n and co-C_n, alone and joined with K_k, decided by
     # the rule and by the general search that `_co_walk` returning None
@@ -364,7 +352,7 @@ def test_the_walk_rule_matches_the_general_search(monkeypatch):
         assert result.nodes == 0
         verdicts.add(result.verdict)
         if result.verdict == FREE:
-            assert _free_under(h, parts, result)
+            assert graphs._is_free_coloring(h, parts, result.coloring)
     assert verdicts == {ARROWS, FREE}
 
 
@@ -433,7 +421,7 @@ def test_relabelled_stock_witnesses_take_the_stock_tree(monkeypatch):
             assert find_free_coloring(h, parts) == SearchResult(ARROWS, None, 0), parts
             result = find_free_coloring(h, raised)
             assert (result.verdict, result.nodes) == (FREE, 0), raised
-            assert _free_under(h, raised, result)
+            assert graphs._is_free_coloring(h, raised, result.coloring)
 
 
 def _stock_sweep():
@@ -466,7 +454,7 @@ def test_the_stock_sweep_is_decided_by_the_rule(monkeypatch):
         raised = (*sig.parts[:-1], sig.p + 1)
         result = find_free_coloring(cert.graph, raised)
         assert (result.verdict, result.nodes) == (FREE, 0), sig
-        assert _free_under(cert.graph, raised, result), sig
+        assert graphs._is_free_coloring(cert.graph, raised, result.coloring), sig
 
 
 def _no_all_2_extend(monkeypatch):

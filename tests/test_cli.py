@@ -312,8 +312,9 @@ def test_usage_errors_exit_one(capsys, c5_path):
     assert code == 1 and "error:" in err
     code, _, err = run_cli(capsys, ["arrow", "--graph", "/nonexistent.g6", "--sig", "2,2"])
     assert code == 1 and "error:" in err
-    code, _, err = run_cli(capsys, ["bound", "--sig", "", "--q", "3"])
-    assert code == 1 and "error:" in err
+    for sig in ("", "2,,3", "2,3,"):
+        code, _, err = run_cli(capsys, ["bound", "--sig", sig, "--q", "4"])
+        assert code == 1 and "error:" in err, sig
 
 
 def test_errors_under_json_emit_an_envelope(capsys):

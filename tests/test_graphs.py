@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -8,7 +8,8 @@ from folkman.graphs import (MAX_VERTICES, Graph, clique_number, complement,
                             complete, cycle, from_edges, has_clique, join,
                             max_clique)
 
-from conftest import brute_clique_number, brute_subset_has_clique, random_graph
+from conftest import (all_graphs, brute_clique_number, brute_subset_has_clique,
+                      coloring_is_free, random_graph)
 
 
 def test_complete():
@@ -205,3 +206,16 @@ def test_edges_iteration():
     assert sorted(g.edges()) == [(0, 1), (0, 3), (2, 3)]
     assert g.edge_count == 3
     assert g.degree(0) == 2
+
+
+def test_the_free_coloring_check_matches_the_oracle():
+    # Every coloring of every graph on at most 5 vertices, with r <= 3
+    # colors up to 4 vertices and r = 2 at 5, under every caps in {2, 3}^r.
+    for n in range(6):
+        for r in (2,) if n == 5 else (1, 2, 3):
+            cases = [(parts, coloring) for parts in product((2, 3), repeat=r)
+                     for coloring in product(range(r), repeat=n)]
+            for g in all_graphs(n):
+                for parts, coloring in cases:
+                    assert (graphs._is_free_coloring(g, parts, coloring)
+                            == coloring_is_free(g, parts, coloring)), (g, parts, coloring)

@@ -3,10 +3,10 @@ import random
 import pytest
 
 from folkman import graphs, witnesses
-from folkman.arrowing import (UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
+from folkman.arrowing import (FREE, UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
                               verify_composition_instance)
-from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, best_bounds,
-                            composition_bound, default_table)
+from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, KnownValue,
+                            best_bounds, composition_bound, default_table)
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
 from folkman.signatures import normalize
@@ -271,7 +271,10 @@ def test_external_witness_registers_in_table(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(serialize_graph6(cycle(5)) + "\n")
     table = KnownTable()
-    load_external_witness(str(path), [2, 2], 3, table=table)
+    cert = load_external_witness(str(path), [2, 2], 3)
+    assert cert.status == VERIFIED
+    table.add(KnownValue(cert.signature, cert.q, None, cert.vertices,
+                         citation=cert.construction))
     lower, upper, citations = table.combined(normalize([2, 2]), 3)
     assert upper == 5 and lower is None
     assert any("external file" in c for c in citations)
@@ -285,8 +288,10 @@ def test_a_verified_external_witness_refreshes_the_composition_dp(tmp_path):
     assert best_bounds([2, 2, 2, 2], 3, table).upper is None
     path = tmp_path / "m4.g6"
     path.write_text(serialize_graph6(mycielskian(mycielskian(cycle(5)))) + "\n")
-    cert = load_external_witness(str(path), [2, 2, 2, 2], 3, table=table)
+    cert = load_external_witness(str(path), [2, 2, 2, 2], 3)
     assert cert.status == VERIFIED
+    table.add(KnownValue(cert.signature, cert.q, None, cert.vertices,
+                         citation=cert.construction))
     assert composition_bound([2, 2, 2, 2], 3, table).upper == 23
     rec = best_bounds([2, 2, 2, 2], 3, table)
     assert rec.upper == 23
@@ -317,6 +322,15 @@ def test_certificate_round_trip_with_evidence(tmp_path):
     back = parse_certificate(format_certificate(cert))
     assert back.status == REFUTED
     assert back.free_coloring == cert.free_coloring
+
+
+def test_a_coloring_that_is_not_free_is_never_written_as_evidence(monkeypatch):
+    # C5 arrows (2,2); an engine that answered with one class for all five
+    # vertices must not yield a REFUTED certificate that cannot be read back.
+    monkeypatch.setattr(witnesses, "find_free_coloring",
+                        lambda graph, sig, budget: SearchResult(FREE, (0,) * 5, 0))
+    with pytest.raises(RuntimeError, match="monochromatic forbidden clique"):
+        witnesses._check(cycle(5), normalize([2, 2]), 3, "cycle(5)", None)
 
 
 def test_the_empty_graph_refutation_round_trips(tmp_path):
