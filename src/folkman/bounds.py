@@ -7,7 +7,6 @@ cited values that produced each side.
 
 from __future__ import annotations
 
-import os
 from functools import cache
 from importlib import resources
 from operator import attrgetter
@@ -24,8 +23,6 @@ RULE_UPPER_M3P = "UPPER-M3P"
 RULE_KNOWN_TABLE = "KNOWN-TABLE"
 RULE_THEOREM = "THEOREM-COMPOSE"
 RULE_MONOTONE = "MONOTONE-SUBSUME"
-
-ENV_TABLE_PATH = "FOLKMAN_TABLE"
 
 # Multi-part compositions use blocks of at least this size: the closed-form
 # tables are built from 4-blocks (the 13-vertex values) plus one boundary
@@ -181,12 +178,8 @@ def bundled_known_values() -> tuple[KnownValue, ...]:
 
 
 def default_table(extra_path: str | Path | None = None) -> KnownTable:
-    """Bundled table, plus the FOLKMAN_TABLE override and/or an explicit file."""
+    """The bundled table, plus the entries of `extra_path` when it is given."""
     table = KnownTable(bundled_known_values())
-    env_path = os.environ.get(ENV_TABLE_PATH)
-    if env_path:
-        for entry in load_known_values(env_path):
-            table.add(entry)
     if extra_path is not None:
         for entry in load_known_values(extra_path):
             table.add(entry)
@@ -340,8 +333,8 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     Intersects the direct rules, the known-values table, the composition
     bound (when q = a_r + 1), and the subsumption link that lets a
     (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
-    provenance lists every contributor.  `table=None` loads the bundled
-    table (plus the FOLKMAN_TABLE override).  Pass one table to many calls:
+    provenance lists every contributor.  `table=None` means the bundled
+    table alone.  Pass one table to many calls:
     the composition DP is computed once per prefix and table, and refreshed
     when the table gains an entry.
     """
@@ -374,22 +367,17 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
 
 
 class RecurrenceReport(_Record):
-    """Outcome of the self-consistency sweep over the two boundary families.
-    Unlike the other records it is filled in place, so it is mutable and
-    unhashable."""
+    """Outcome of the self-consistency sweep over the two boundary families."""
 
     __slots__ = ("p_max", "checks", "violations", "conjectured_quarter_bound_holds")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
-    def __init__(self, p_max: int, checks: int = 0, violations: list[str] | None = None,
-                 conjectured_quarter_bound_holds: list[tuple[str, int]] | None = None):
-        self.p_max = p_max
-        self.checks = checks
-        self.violations = [] if violations is None else violations
-        self.conjectured_quarter_bound_holds = ([] if conjectured_quarter_bound_holds is None
-                                                else conjectured_quarter_bound_holds)
+    def __init__(self, p_max: int, checks: int = 0, violations: tuple[str, ...] = (),
+                 conjectured_quarter_bound_holds: tuple[tuple[str, int], ...] = ()):
+        object.__setattr__(self, "p_max", p_max)
+        object.__setattr__(self, "checks", checks)
+        object.__setattr__(self, "violations", violations)
+        object.__setattr__(self, "conjectured_quarter_bound_holds",
+                           conjectured_quarter_bound_holds)
 
     @property
     def ok(self) -> bool:
@@ -405,33 +393,35 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     and for 4 <= p <= p_max the closed forms must equal the composition DP
     exactly.  One DP per family prices every p.  The conjectured 13p/4
     bound is never used as an input; the report only notes where the
-    computed uppers already meet it.  `table=None` loads the bundled table
-    (plus the FOLKMAN_TABLE override).
+    computed uppers already meet it.  `table=None` means the bundled table
+    alone.
     """
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     if table is None:
         table = default_table()
-    report = RecurrenceReport(p_max=p_max)
+    checks = 0
+    violations = []
+    quarter_holds = []
     families = (("3,p", (3,), closed_form_upper_3p), ("2,2,p", (2, 2), closed_form_upper_22p))
     for name, prefix, closed_form in families:
         best = _best_splits(prefix, p_max, table).best
         uppers = {p: best[p][0] for p in range(4, p_max + 1) if p in best}
         for p in range(4, p_max + 1):
-            report.checks += 1
+            checks += 1
             if p not in uppers:
-                report.violations.append(f"{name}, p={p}: no composition upper")
+                violations.append(f"{name}, p={p}: no composition upper")
                 continue
             if closed_form(p) != uppers[p]:
-                report.violations.append(
+                violations.append(
                     f"{name}, p={p}: closed form {closed_form(p)} != composition {uppers[p]}")
             if 4 * uppers[p] <= 13 * p:
-                report.conjectured_quarter_bound_holds.append((name, p))
+                quarter_holds.append((name, p))
         step = base_bounds(Signature(prefix + (4,)), 5, table).upper
         for p in range(8, p_max + 1):
-            report.checks += 1
+            checks += 1
             if p in uppers and p - 4 in uppers and uppers[p] > uppers[p - 4] + step:
-                report.violations.append(
+                violations.append(
                     f"{name}, p={p}: recurrence fails: {uppers[p]} > "
                     f"{uppers[p - 4]} + {step}")
-    return report
+    return RecurrenceReport(p_max, checks, tuple(violations), tuple(quarter_holds))

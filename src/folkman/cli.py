@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound = sub.add_parser("bound", help="best known bounds for F(sig; q)")
     p_bound.add_argument("--sig", required=True)
     p_bound.add_argument("--q", type=int, required=True)
-    p_bound.add_argument("--table", help="extra known-values file (also FOLKMAN_TABLE env var)")
+    p_bound.add_argument("--table", help="extra known-values file, added to the bundled table")
     add_common(p_bound)
     p_bound.set_defaults(handler=_cmd_bound)
 

@@ -1,9 +1,10 @@
+import json
 import re
 from collections import Counter
 
 import pytest
 
-from folkman import bounds
+from folkman import bounds, cli
 from folkman.bounds import (RULE_EXISTS_FAIL, RULE_KNOWN_TABLE, RULE_MONOTONE,
                             RULE_THEOREM, KnownTable, KnownValue, base_bounds,
                             best_bounds, check_recurrences, closed_form_upper_3p,
@@ -48,13 +49,13 @@ def test_base_bounds_boundary_with_table():
 
 
 def test_base_bounds_table_applies_at_every_existing_q():
-    # q = m for (2,2): the table's exhaustive-search entry adds provenance
-    # but cannot move the exact rule value.
-    rec = base_bounds([2, 2], 3, TABLE)
+    # q = m for (2,2): a table entry adds provenance but cannot move the
+    # exact rule value.
+    table = KnownTable([KnownValue(normalize([2, 2]), 3, 5, 5, "exhaustive search")])
+    rec = base_bounds([2, 2], 3, table)
     assert (rec.lower, rec.upper) == (5, 5)
     assert [r.name for r in rec.provenance] == ["Q-EQ-M", RULE_KNOWN_TABLE]
-    assert rec.provenance[1].detail == (
-        "table gives [5, 5] (derived: exhaustive search over all 4-vertex graphs)")
+    assert rec.provenance[1].detail == "table gives [5, 5] (exhaustive search)"
     assert [r.name for r in base_bounds([2, 2], 3).provenance] == ["Q-EQ-M"]
 
 
@@ -257,8 +258,6 @@ def test_best_bounds_full_provenance():
     assert (rec.lower, rec.upper) == (5, 5)
     assert _tree(rec.provenance) == [
         ("Q-EQ-M", "q=m=3: exact value m+p=5", []),
-        ("KNOWN-TABLE",
-         "table gives [5, 5] (derived: exhaustive search over all 4-vertex graphs)", []),
         ("THEOREM-COMPOSE", "2: 5", [("Q-EQ-M", "F(2,2;3) <= 5", [])]),
     ]
 
@@ -342,8 +341,8 @@ def test_check_recurrences_reports_violations_in_order():
     # (3,p) and at p = 5 for (2,2,p).
     report = check_recurrences(12, KnownTable())
     assert report.checks == 2 * 9 + 2 * 5
-    assert report.conjectured_quarter_bound_holds == []
-    assert report.violations == [
+    assert report.conjectured_quarter_bound_holds == ()
+    assert report.violations == (
         "3,p, p=4: closed form 13 != composition 18",
         "3,p, p=8: closed form 26 != composition 34",
         "3,p, p=9: closed form 35 != composition 38",
@@ -358,7 +357,7 @@ def test_check_recurrences_reports_violations_in_order():
         "2,2,p, p=10: closed form 35 != composition 42",
         "2,2,p, p=11: closed form 41 != composition 46",
         "2,2,p, p=12: closed form 39 != composition 50",
-    ]
+    )
     assert not report.ok
 
 
@@ -389,7 +388,7 @@ def test_parse_known_values_errors_carry_line_numbers():
         parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n")
 
 
-def test_contradicting_table_entries_are_rejected_when_added(tmp_path, monkeypatch):
+def test_contradicting_table_entries_are_rejected_when_added(tmp_path):
     # Each line passes the rules alone; together they leave no value.
     text = "2,2,6;7;20;-;first\n2,2,6;7;-;18;second\n"
     with pytest.raises(ValueError, match="f.txt:2: F\\(2,2,6;7\\): upper 18 < lower 20 "
@@ -400,9 +399,6 @@ def test_contradicting_table_entries_are_rejected_when_added(tmp_path, monkeypat
     with pytest.raises(ValueError, match=re.escape(f"{extra}:2: F(3,4;5): lower 15 > upper 13 "
                                                    "of 'ref [6]' at bundled known_values.txt:")):
         default_table(extra_path=extra)
-    monkeypatch.setenv("FOLKMAN_TABLE", str(extra))
-    with pytest.raises(ValueError, match="extra.txt:2: .*'ref \\[6\\]'"):
-        default_table()
     table = KnownTable([KnownValue(normalize([3, 4]), 5, 13, 13, "a")])
     with pytest.raises(ValueError, match="^F\\(3,4;5\\): upper 12 < lower 13 of 'a'$"):
         table.add(KnownValue(normalize([3, 4]), 5, None, 12, "b"))
@@ -441,12 +437,20 @@ def test_bundled_table_has_cited_entries():
         assert any(tag in c for c in citations)
 
 
-def test_env_table_override(tmp_path, monkeypatch):
+def test_the_environment_is_ignored(tmp_path, monkeypatch, capsys):
+    # Only `table=` and --table extend the bundled table, never a variable
+    # of the environment.
+    bundled = best_bounds([4, 4], 6)
+    cli.main(["bound", "--sig", "4,4", "--q", "6", "--json"])
+    bundled_json = json.loads(capsys.readouterr().out)["result"]
     extra = tmp_path / "extra.txt"
     extra.write_text("4,4;6;-;30;local experiment\n")
     monkeypatch.setenv("FOLKMAN_TABLE", str(extra))
-    table = default_table()
-    assert table.combined(normalize([4, 4]), 6)[1] == 30
+    assert default_table().combined(normalize([4, 4]), 6) == (None, None, [])
+    assert best_bounds([4, 4], 6) == bundled
+    assert cli.main(["bound", "--sig", "4,4", "--q", "6", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"] == bundled_json
+    assert default_table(extra).combined(normalize([4, 4]), 6)[1] == 30
 
 
 def test_bundled_table_is_parsed_once(monkeypatch):
