@@ -434,7 +434,7 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 
     `jobs` has no effect: every search runs in this process.  It must be
     >= 1, and it is kept only because the benchmark's `parallel` workload
-    passes jobs=2; it goes when ROADMAP item 1 redefines that workload.
+    passes jobs=2; it goes with that workload (ROADMAP item 2, stage A).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")

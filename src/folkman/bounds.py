@@ -89,33 +89,34 @@ class KnownValue(_Record):
 
 
 class KnownTable:
-    """Collection of known values, merged to the tightest bounds per (sig, q)."""
+    """Known values, merged to the tightest bounds per (sig, q); built once and
+    never changed.  An entry for a number that does not exist, or one that
+    contradicts the direct rules or an earlier entry, is refused here."""
 
     def __init__(self, entries: Iterable[KnownValue] = ()):
         self._by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
-        # The composition DP per prefix (`_best_splits`), priced from this
-        # table: every add drops it.
+        # The composition DP per prefix (`_best_splits`), priced from this table.
         self._splits: dict[tuple[int, ...], _Splits] = {}
         for entry in entries:
-            self.add(entry)
-
-    def add(self, entry: KnownValue) -> None:
-        """Add an entry; one whose bounds contradict an entry already in the
-        table for the same (sig, q) is rejected, naming both."""
-        group = self._by_key.setdefault((entry.signature.parts, entry.q), [])
-        for old in group:
-            if entry.lower is not None and old.upper is not None and entry.lower > old.upper:
-                clash = f"lower {entry.lower} > upper {old.upper}"
-            elif entry.upper is not None and old.lower is not None and entry.upper < old.lower:
-                clash = f"upper {entry.upper} < lower {old.lower}"
-            else:
-                continue
+            sig, q = entry.signature, entry.q
             where = f"{entry.source}: " if entry.source else ""
-            at = f" at {old.source}" if old.source else ""
-            raise ValueError(f"{where}F({entry.signature};{entry.q}): {clash} "
-                             f"of {old.citation!r}{at}")
-        group.append(entry)
-        self._splits.clear()
+            if not folkman_exists(sig, q):
+                raise ValueError(f"{where}F({sig};{q}) does not exist: q must exceed {sig.p}")
+            rules = base_bounds(sig, q)  # its first rule gives the lower side, its last the upper
+            group = self._by_key.setdefault((sig.parts, q), [])
+            sides = [(rules.lower, None, rules.provenance[0].name),
+                     (None, rules.upper, rules.provenance[-1].name)] if rules.provenance else []
+            sides += [(old.lower, old.upper, f"{old.citation!r} at {old.source}" if old.source
+                       else repr(old.citation)) for old in group]
+            for lower, upper, name in sides:
+                if entry.lower is not None and upper is not None and entry.lower > upper:
+                    clash = f"lower {entry.lower} > upper {upper}"
+                elif entry.upper is not None and lower is not None and entry.upper < lower:
+                    clash = f"upper {entry.upper} < lower {lower}"
+                else:
+                    continue
+                raise ValueError(f"{where}F({sig};{q}): {clash} of {name}")
+            group.append(entry)
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
@@ -135,8 +136,9 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
     """Parse the line-oriented known-values format.
 
     Each line is ``a1,a2,...;q;lower|-;upper|-;citation`` with ``#`` comments.
-    An entry for a number that does not exist (q <= max part), or one that
-    contradicts the exact rules, is rejected with its source and line.
+    A line that does not parse, or whose own sides are missing or inverted,
+    is rejected with its source and line.  Every entry carries that
+    ``source:line``, so `KnownTable` names it when it refuses the entry.
     """
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -152,16 +154,9 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
             q = int(q_text)
             lower = None if lower_text.strip() == "-" else int(lower_text)
             upper = None if upper_text.strip() == "-" else int(upper_text)
+            out.append(KnownValue(sig, q, lower, upper, citation.strip(), f"{source}:{lineno}"))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
-        try:
-            entry = KnownValue(sig, q, lower, upper, citation.strip(), f"{source}:{lineno}")
-            if not folkman_exists(sig, q):
-                raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
-            base_bounds(sig, q, KnownTable([entry]))  # raises if the exact rules disagree
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: {exc}") from None
-        out.append(entry)
     return out
 
 
@@ -172,18 +167,23 @@ def load_known_values(path: str | Path) -> list[KnownValue]:
 
 @cache
 def bundled_known_values() -> tuple[KnownValue, ...]:
-    """The bundled table's entries, read and checked once per process."""
+    """The bundled table's entries, read and parsed once per process."""
     text = resources.files("folkman").joinpath("data/known_values.txt").read_text(encoding="utf-8")
     return tuple(parse_known_values(text, source="bundled known_values.txt"))
 
 
+@cache
+def _bundled_table() -> KnownTable:
+    return KnownTable(bundled_known_values())
+
+
 def default_table(extra_path: str | Path | None = None) -> KnownTable:
-    """The bundled table, plus the entries of `extra_path` when it is given."""
-    table = KnownTable(bundled_known_values())
-    if extra_path is not None:
-        for entry in load_known_values(extra_path):
-            table.add(entry)
-    return table
+    """The bundled table: one shared table per process, built and checked
+    once.  With `extra_path`, a new table of the bundled entries followed by
+    the entries of that file."""
+    if extra_path is None:
+        return _bundled_table()
+    return KnownTable([*bundled_known_values(), *load_known_values(extra_path)])
 
 
 def base_bounds(sig: Signature | Iterable[int], q: int,
@@ -292,8 +292,8 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     split is always admissible.  Ties prefer fewer blocks, then the
     lexicographically smallest block multiset.  `table=None` means no
     table: every block is priced by the direct rules alone.  With a table
-    the DP is computed once per (a1..a_{r-1}, table), extended when a larger
-    a_r is asked, and recomputed after the table gains an entry.
+    the DP is computed once per (a1..a_{r-1}, table) and extended when a
+    larger a_r is asked.
     """
     sig = as_signature(sig)
     if sig.r < 2:
@@ -334,9 +334,8 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     bound (when q = a_r + 1), and the subsumption link that lets a
     (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
     provenance lists every contributor.  `table=None` means the bundled
-    table alone.  Pass one table to many calls:
-    the composition DP is computed once per prefix and table, and refreshed
-    when the table gains an entry.
+    table alone, shared by every such call.  The composition DP is computed
+    once per prefix and table, so calls that share a table share it.
     """
     sig = as_signature(sig)
     if table is None:

@@ -1,8 +1,9 @@
 """Shared test helpers: independent brute-force oracles and seeded corpora.
 
 Everything here must stay independent of the engine's search path: clique
-checks go through itertools.combinations and colorings are enumerated in
-full, so these routines can serve as ground truth for the pruned search.
+checks test edges one pair at a time (subsets by itertools.combinations, or
+by plain backtracking over common neighbours) and colorings are enumerated
+in full, so these routines can serve as ground truth for the pruned search.
 """
 
 from __future__ import annotations
@@ -23,13 +24,15 @@ def brute_clique_number(g: Graph) -> int:
 
 
 def brute_subset_has_clique(g: Graph, verts, k: int) -> bool:
+    """True iff `verts` holds k pairwise adjacent vertices: each vertex in
+    turn, then the later ones adjacent to it, cut once fewer than k remain."""
     verts = list(verts)
     if k <= 0:
         return True
-    if k > len(verts):
-        return False
-    for combo in combinations(verts, k):
-        if all(g.has_edge(u, v) for u, v in combinations(combo, 2)):
+    for i, v in enumerate(verts):
+        if len(verts) - i < k:
+            return False
+        if brute_subset_has_clique(g, [u for u in verts[i + 1:] if g.has_edge(u, v)], k - 1):
             return True
     return False
 

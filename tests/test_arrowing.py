@@ -424,6 +424,17 @@ def test_relabelled_stock_witnesses_take_the_stock_tree(monkeypatch):
             assert graphs._is_free_coloring(h, raised, result.coloring)
 
 
+def test_the_oracle_checks_the_largest_stock_free_coloring():
+    # The 34-vertex (3,16) witness and the free colouring the engine gives
+    # it against (3,17), checked by the conftest oracle alone.
+    g = base_witness([3, 16], 18).graph
+    assert g == join(complete(1), complement(cycle(33)))
+    result = find_free_coloring(g, (3, 17))
+    assert result.verdict == FREE
+    assert coloring_is_free(g, (3, 17), result.coloring)
+    assert not coloring_is_free(g, (3, 17), (1,) * g.n)  # K_1 + a 16-clique of co-C33
+
+
 def _stock_sweep():
     """The stock signatures with a prefix in {2, 3, 4, 5, (2,2), (2,3),
     (3,3), (2,2,2)}, a last part at least the prefix's last, and a q = m

@@ -9,7 +9,7 @@ from folkman.bounds import (RULE_EXISTS_FAIL, RULE_KNOWN_TABLE, RULE_MONOTONE,
                             RULE_THEOREM, KnownTable, KnownValue, base_bounds,
                             best_bounds, check_recurrences, closed_form_upper_3p,
                             closed_form_upper_22p, default_table, folkman_exists,
-                            parse_known_values, composition_bound)
+                            bundled_known_values, parse_known_values, composition_bound)
 from folkman.signatures import normalize
 
 TABLE = default_table()
@@ -195,10 +195,13 @@ def test_best_bounds_examples():
 
 
 def test_a_table_entry_refreshes_the_composition_dp():
-    table = default_table()
-    assert best_bounds([3, 9], 10, table).upper == 35  # blocks 4+5: 13+22
-    table.add(KnownValue(normalize([3, 5]), 6, None, 21, "a tighter block"))
+    # A table is never changed, so a tighter block comes in a new table,
+    # with a DP of its own; the shared bundled table keeps its prices.
+    assert best_bounds([3, 9], 10, default_table()).upper == 35  # blocks 4+5: 13+22
+    table = KnownTable([*bundled_known_values(),
+                        KnownValue(normalize([3, 5]), 6, None, 21, "a tighter block")])
     assert best_bounds([3, 9], 10, table).upper == 34
+    assert best_bounds([3, 9], 10, default_table()).upper == 35
     assert composition_bound([3, 9], 10, table).provenance[0].detail == "4+5: 13+21"
 
 
@@ -213,8 +216,10 @@ def test_a_sweep_prices_each_block_once(monkeypatch):
             priced[sig.parts, q] += 1
         return real(sig, q, table)
 
+    # A fresh table, built before the spy: the shared one keeps its DP, and
+    # building a table checks each entry against the rules.
+    table = KnownTable(bundled_known_values())
     monkeypatch.setattr(bounds, "base_bounds", spy)
-    table = default_table()
     for p in range(2, 41):
         for sig in (normalize([3, p]), normalize([2, 2, p])):
             for q in range(p + 1, sig.m + 2):
@@ -380,12 +385,14 @@ def test_parse_known_values_errors_carry_line_numbers():
         parse_known_values("3,4;5;x;13;bad\n")
     with pytest.raises(ValueError, match=":1:"):
         parse_known_values("3,4;5;15;13;inverted\n")
-    with pytest.raises(ValueError, match=":2: F\\(3,4;4\\) does not exist"):
-        parse_known_values("3,4;5;13;13;ok\n3,4;4;-;13;q at the max part\n")
-    with pytest.raises(ValueError, match=":1: inconsistent bounds"):
-        parse_known_values("3,4;8;7;7;q > m makes F exactly m = 6\n")
-    with pytest.raises(ValueError, match=":1: inconsistent bounds"):
-        parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n")
+    # The parser only parses; the table it fills names the same line.
+    with pytest.raises(ValueError, match="^<string>:2: F\\(3,4;4\\) does not exist"):
+        KnownTable(parse_known_values("3,4;5;13;13;ok\n3,4;4;-;13;q at the max part\n"))
+    with pytest.raises(ValueError, match="^<string>:1: F\\(3,4;8\\): lower 7 > upper 6 of Q-GT-M$"):
+        KnownTable(parse_known_values("3,4;8;7;7;q > m makes F exactly m = 6\n"))
+    with pytest.raises(ValueError, match="^<string>:1: F\\(3,4;5\\): upper 11 < lower 12 "
+                                         "of LOWER-M-1$"):
+        KnownTable(parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n"))
 
 
 def test_contradicting_table_entries_are_rejected_when_added(tmp_path):
@@ -399,10 +406,10 @@ def test_contradicting_table_entries_are_rejected_when_added(tmp_path):
     with pytest.raises(ValueError, match=re.escape(f"{extra}:2: F(3,4;5): lower 15 > upper 13 "
                                                    "of 'ref [6]' at bundled known_values.txt:")):
         default_table(extra_path=extra)
-    table = KnownTable([KnownValue(normalize([3, 4]), 5, 13, 13, "a")])
+    a = KnownValue(normalize([3, 4]), 5, 13, 13, "a")
     with pytest.raises(ValueError, match="^F\\(3,4;5\\): upper 12 < lower 13 of 'a'$"):
-        table.add(KnownValue(normalize([3, 4]), 5, None, 12, "b"))
-    table.add(KnownValue(normalize([3, 4]), 5, None, 13, "c"))  # agreeing entries stay
+        KnownTable([a, KnownValue(normalize([3, 4]), 5, None, 12, "b")])
+    table = KnownTable([a, KnownValue(normalize([3, 4]), 5, None, 13, "c")])  # agreeing entries stay
     assert table.combined(normalize([3, 4]), 5) == (13, 13, ["a", "c"])
 
 
@@ -417,10 +424,24 @@ def test_table_combines_tightest():
 
 
 def test_violating_table_entry_is_a_data_error():
-    table = KnownTable([KnownValue(normalize([3, 3]), 4, None, 5, "bogus")])
-    # rules give lower m+p+2 = 10 > claimed upper 5
-    with pytest.raises(ValueError):
-        base_bounds([3, 3], 4, table)
+    # rules give lower m+p+2 = 10 > claimed upper 5: refused when the table is built
+    with pytest.raises(ValueError, match="^F\\(3,3;4\\): upper 5 < lower 10 of LOWER-M-1$"):
+        KnownTable([KnownValue(normalize([3, 3]), 4, None, 5, "bogus")])
+    with pytest.raises(ValueError, match="^F\\(3,6;6\\) does not exist: q must exceed 6$"):
+        KnownTable([KnownValue(normalize([3, 6]), 6, None, 20, "q at the max part")])
+
+
+def test_an_entry_below_a_rule_cannot_make_a_false_exact_value():
+    # The rule at q = m-1 gives F(3,5;6) >= 14.  Taken as a block price, an
+    # upper of 12 made best_bounds([3,10], 11) read "exact 24" against the
+    # true [24, 39].
+    bogus = KnownValue(normalize([3, 5]), 6, None, 12, "bogus")
+    with pytest.raises(ValueError, match="^F\\(3,5;6\\): upper 12 < lower 14 of LOWER-M-1$"):
+        KnownTable([bogus])
+    with pytest.raises(ValueError, match="LOWER-M-1"):
+        KnownTable([*bundled_known_values(), bogus])
+    rec = best_bounds([3, 10], 11)
+    assert (rec.lower, rec.upper) == (24, 39)
 
 
 def test_bundled_table_has_cited_entries():
@@ -460,20 +481,37 @@ def test_bundled_table_is_parsed_once(monkeypatch):
         sources.append(source)
         return parse_known_values(text, source)
 
+    built = []
+
+    class SpyTable(KnownTable):
+        def __init__(self, entries=()):
+            built.append(entries)
+            super().__init__(entries)
+
     monkeypatch.setattr(bounds, "parse_known_values", spy)
+    monkeypatch.setattr(bounds, "KnownTable", SpyTable)
     bounds.bundled_known_values.cache_clear()
-    for _ in range(3):
-        default_table()
-        best_bounds([3, 9], 10)
-    check_recurrences(12)
+    bounds._bundled_table.cache_clear()
+    try:
+        for _ in range(3):
+            default_table()
+            best_bounds([3, 9], 10)
+        check_recurrences(12)
+    finally:
+        bounds._bundled_table.cache_clear()  # no later test may share the spy's table
     assert sources == ["bundled known_values.txt"]
+    assert built == [bounds.bundled_known_values()]  # and checked once
     assert bounds.bundled_known_values() is bounds.bundled_known_values()
 
 
-def test_default_table_is_fresh_per_call():
+def test_default_table_is_shared(tmp_path):
     sig = normalize([3, 5])
     table = default_table()
-    table.add(KnownValue(sig, 6, None, 21, "local experiment"))
-    assert table.combined(sig, 6)[1] == 21
-    assert default_table().combined(sig, 6) == (None, None, [])
+    assert default_table() is table
+    extra = tmp_path / "extra.txt"
+    extra.write_text("3,5;6;-;21;local experiment\n")
+    assert default_table(extra).combined(sig, 6)[1] == 21
+    assert default_table(extra) is not default_table(extra)
+    assert default_table() is table
+    assert table.combined(sig, 6) == (None, None, [])
     assert best_bounds(sig, 6).upper == 22

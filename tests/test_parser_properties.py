@@ -9,7 +9,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from folkman.bounds import parse_known_values
+from folkman.bounds import KnownTable, parse_known_values
 from folkman.graphs import Graph
 from folkman.signatures import normalize
 from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED, WitnessCertificate,
@@ -120,5 +120,7 @@ def test_any_text_is_a_certificate_or_a_value_error(text):
 @example("1,1;3;-;-;x\n")
 @example("3,4;5;-;-;no side\n")
 @example("3,4;5;99;13;inverted\n")
+@example("3,4;5;-;11;below the rule\n3,4;4;-;13;q at the max part\n")
 def test_any_text_is_a_table_or_a_value_error(text):
     _raises_only_value_error(parse_known_values, text)
+    _raises_only_value_error(lambda t: KnownTable(parse_known_values(t)), text)

@@ -6,7 +6,8 @@ from folkman import graphs, witnesses
 from folkman.arrowing import (FREE, UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
                               verify_composition_instance)
 from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, KnownValue,
-                            best_bounds, composition_bound, default_table)
+                            best_bounds, bundled_known_values, composition_bound,
+                            default_table)
 from folkman.formats import serialize_edge_list, serialize_graph6
 from folkman.graphs import clique_number, complement, complete, cycle, join
 from folkman.signatures import normalize
@@ -270,11 +271,10 @@ def test_external_witness_budget_exhaustion(tmp_path):
 def test_external_witness_registers_in_table(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(serialize_graph6(cycle(5)) + "\n")
-    table = KnownTable()
     cert = load_external_witness(str(path), [2, 2], 3)
     assert cert.status == VERIFIED
-    table.add(KnownValue(cert.signature, cert.q, None, cert.vertices,
-                         citation=cert.construction))
+    table = KnownTable([KnownValue(cert.signature, cert.q, None, cert.vertices,
+                                   citation=cert.construction)])
     lower, upper, citations = table.combined(normalize([2, 2]), 3)
     assert upper == 5 and lower is None
     assert any("external file" in c for c in citations)
@@ -283,15 +283,16 @@ def test_external_witness_registers_in_table(tmp_path):
 def test_a_verified_external_witness_refreshes_the_composition_dp(tmp_path):
     # M4 is triangle-free and 5-chromatic on 23 vertices, so it lies in
     # H(2,2,2,2;3); no rule prices that number, which is q = m - 2.
-    table = default_table()
-    assert composition_bound([2, 2, 2, 2], 3, table).upper is None
-    assert best_bounds([2, 2, 2, 2], 3, table).upper is None
+    assert composition_bound([2, 2, 2, 2], 3, default_table()).upper is None
+    assert best_bounds([2, 2, 2, 2], 3, default_table()).upper is None
     path = tmp_path / "m4.g6"
     path.write_text(serialize_graph6(mycielskian(mycielskian(cycle(5)))) + "\n")
     cert = load_external_witness(str(path), [2, 2, 2, 2], 3)
     assert cert.status == VERIFIED
-    table.add(KnownValue(cert.signature, cert.q, None, cert.vertices,
-                         citation=cert.construction))
+    # A table is never changed: the certified value comes in a new table.
+    table = KnownTable([*bundled_known_values(),
+                        KnownValue(cert.signature, cert.q, None, cert.vertices,
+                                   citation=cert.construction)])
     assert composition_bound([2, 2, 2, 2], 3, table).upper == 23
     rec = best_bounds([2, 2, 2, 2], 3, table)
     assert rec.upper == 23
