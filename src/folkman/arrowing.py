@@ -3,36 +3,16 @@ monochromatic a_i-clique in some color class i?
 
 A graph is first split into its co-components by `graphs._co_components`.
 It is their join, so by the paper's composition law a class's clique number
-is the sum of its clique numbers in the parts.  The singleton co-components
-form one K_k, which fits a room of r_i per class iff the rooms sum to at
-least k; every other part is decided on its own, under each way of sharing
-the room that can matter.  A co-connected graph is one part, searched
-whole.  Every search runs in the calling process.
+is the sum of its clique numbers in the parts, and class i has a room of
+a_i - 1 to share among them.  A part the rule below decides is counted as
+room; every other part is searched, under each sharing that can matter.
+Every search runs in the calling process.
 
-Each part is numbered once, before any decision: a part decided by the rule
-below along its walk, any other in smallest-last order (`_vertex_order`),
-with its neighbour rows renumbered to match.  Every decision works in those
-positions, so the lowest vertex of a set is its earliest in search order, and
-the masks it finds are mapped back to input labels in one place.
+A part whose complement is one path or one cycle, such as a singleton or
+the co-C_{2p+1} of every stock witness, is found by `_co_walk` and decided
+by the walk rule, at no node.  Along its walk 0..n-1, with shares d_1..d_r:
 
-A part's search, `_extend`, assigns colors vertex by vertex in that order,
-prunes a branch as soon as a class would acquire its forbidden clique, asked
-of `graphs._mask_has_clique` in the same positions, and breaks symmetry
-among colors with equal caps by first-use order.  A part whose caps are all
-2 asks only for a proper r-coloring, and `_color` decides it with forward
-checking (Haralick & Elliott 1980) on bitset domains: class c's forbidden
-set is the union of its vertices' neighbour rows, a vertex with no color
-left prunes the branch at once, and a vertex with one color left, or else
-one of those with two left that has the most uncolored neighbours, as in
-DSATUR (Brelaz 1979), is colored before the next in smallest-last order.
-The same symmetry rule and node budget apply.
-
-A part whose complement is one path or one cycle, such as the co-C_{2p+1}
-of every stock witness, is found by `_co_walk` and decided by a rule, with
-no search and no node (`_walk_coloring`).  Number the part 0..n-1 along its
-walk and let caps c_1..c_t have rooms d_i = c_i - 1.  Then:
-
-- co-P_n is free iff d_1 + ... + d_t >= ceil(n/2);
+- co-P_n is free iff d_1 + ... + d_r >= ceil(n/2);
 - co-C_n is free iff that sum holds, or some d_i >= floor(n/2).
 
 Proof.  A clique of co-P_n or co-C_n is an independent set of P_n or C_n.
@@ -44,9 +24,22 @@ free coloring where no class is the whole cycle, sum d_i >= sum omega(S_i)
 >= ceil(n/2).  A class that is the whole cycle needs d_i >= floor(n/2).
 Conversely, consecutive arcs of 2*d_i vertices, the last one cut short,
 cover the walk when the sum holds, and an arc of L <= 2*d_i vertices has
-omega = ceil(L/2) <= d_i, or floor(n/2) if it closes the cycle; otherwise
-the class with d_i >= floor(n/2) takes the whole cycle.  The coloring is
-built in O(n), as one arc mask per class.
+omega = ceil(L/2) <= d_i, or floor(n/2) if it closes the cycle.
+
+So co-P_n and co-C_{2t} count as ceil(n/2) units of room, as K_{ceil(n/2)}
+does, and co-C_{2t+1} as t + 1 units or as one class of room t that takes
+it whole, saving a unit.  The room the searched parts leave must hold the
+units less those saved; if any s odd co-cycles fit whole, the s smallest
+do (`_place_whole`).  `_deal_arcs` colors the rest in arcs along each walk.
+
+A searched part is numbered once in smallest-last order (`_vertex_order`),
+with its rows renumbered to match; every decision works in those positions,
+and the masks it finds are mapped back to input labels in one place.
+`_extend` colors it vertex by vertex in that order and prunes a branch once
+a class would hold its forbidden clique (`graphs._mask_has_clique`); under
+caps all 2, `_color` asks for a proper coloring with forward checking
+(Haralick & Elliott 1980) and DSATUR's tie (Brelaz 1979).  Both break
+symmetry among colors with equal caps by first use and share one budget.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -274,22 +267,40 @@ def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
     return (walk, closed) if seen == block else None
 
 
-def _walk_coloring(n: int, closed: bool, caps: tuple[int, ...]) -> list[int] | None:
-    """One mask per cap of a free coloring of co-P_n, or co-C_n if `closed`,
-    numbered 0..n-1 along its walk, or None if there is none: the rule of
-    the module docstring.  Caps ascend, so the last class is the widest."""
-    rooms = [cap - 1 for cap in caps]
-    if closed and rooms and 2 * rooms[-1] >= n - 1:  # room for the whole cycle
-        return [0] * (len(rooms) - 1) + [(1 << n) - 1]
-    if 2 * sum(rooms) < n:
+def _deal_arcs(walks: list[list[int]], room: list[int], masks: list[int]) -> None:
+    """Color each walk, a co-P_n or co-C_n along its complement, out of `room`,
+    which holds their ceil(n/2) units: class by class, an arc of L vertices,
+    L <= 2 * room[c], costs class c ceil(L/2), at least its clique number."""
+    c = 0
+    for walk in walks:
+        while walk:
+            while not room[c]:
+                c += 1
+            arc, walk = walk[:2 * room[c]], walk[2 * room[c]:]
+            room[c] -= (len(arc) + 1) // 2
+            masks[c] |= sum([1 << v for v in arc])
+
+
+def _place_whole(odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
+                 masks: list[int], failed: set[tuple[int, ...]]) -> tuple[int, ...] | None:
+    """The room left once each co-C_{2t+1} (t, block, walk) of `odd` is put
+    whole in a class with room at least t, added to that class's mask, or
+    None if they do not fit.  Classes with equal room are interchangeable:
+    `failed` holds (len(odd), *sorted(room)) of each room found too small."""
+    if not odd:
+        return room
+    key = (len(odd), *sorted(room))
+    if key in failed:
         return None
-    masks = []
-    start = 0
-    for room in rooms:
-        end = min(start + 2 * room, n)
-        masks.append((1 << end) - (1 << start))
-        start = end
-    return masks
+    t, block, _ = odd[0]
+    for c, x in enumerate(room):
+        if x >= t:
+            left = _place_whole(odd[1:], room[:c] + (x - t,) + room[c + 1:], masks, failed)
+            if left is not None:
+                masks[c] |= block
+                return left
+    failed.add(key)
+    return None
 
 
 def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
@@ -310,47 +321,40 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     """One mask per color of a free coloring of the join of `blocks`, or None
     if the join arrows `parts`.
 
-    Class i may hold cliques whose sizes over the blocks sum to at most
-    room_i = a_i - 1.  The singleton blocks form one K_k, which fits a
-    leftover room iff it sums to at least k.  The other blocks are placed in
-    turn: block j takes a share d <= room, must be free under caps d + 1, and
-    leaves room - d to the blocks after it.  A block only gets freer as d
-    grows, so the last block needs only the shares that leave exactly k, and
-    an earlier block skips each d above a share it already passed on.
-
-    A join without a p-clique needs none of this: the widest class takes
-    every vertex.  A co-P_n block counts ceil(n/2) toward that clique and a
-    co-C_n block floor(n/2), the clique numbers of the walk rule.
+    The blocks the walk rule decides count as units of room.  Searched block
+    j takes a share d <= room, must be free under caps d + 1, and leaves
+    room - d to the blocks after it.  It only gets freer as d grows, so the
+    last takes only shares that leave at most the units, and an earlier one
+    skips each d above a share it already passed on.  A join without a
+    p-clique needs none of this: the widest class takes every vertex.
     """
     r = len(parts)
-    singles = 0
-    big = []
+    big = []  # the searched blocks
+    folds = []  # the walks of singletons, co-paths and even co-cycles
+    odd = []  # (t, block, walk) of each co-C_{2t+1}
+    units = omega = 0
     for block in blocks:
-        if block & (block - 1):
+        walked = _co_walk(adj, block) if block & (block - 1) else ([block.bit_length() - 1], False)
+        if walked is None:
             big.append(block)
+            continue
+        walk, closed = walked
+        units += (len(walk) + 1) // 2
+        omega += (len(walk) + (not closed)) // 2  # its clique number
+        if closed and len(walk) % 2:
+            odd.append((len(walk) // 2, block, walk))
         else:
-            singles |= block
+            folds.append(walk)
     big.sort(key=int.bit_count)  # the largest block is placed last
-    k = singles.bit_count()
-    # Each block's walk, when the rule decides it.
-    walks = [_co_walk(adj, block) for block in big]
-    if parts:
-        need = parts[-1] - k - sum([(len(walk) + (not closed)) // 2
-                                    for walk, closed in filter(None, walks)])
-        if not _join_has_clique(adj, [b for b, walked in zip(big, walks) if not walked], need):
-            return [0] * (r - 1) + [singles | sum(big)]
-    # Each block is numbered once, along its walk or else in smallest-last
-    # order, and a searched block's rows are renumbered to match: vertex i
-    # is orders[j][i], bit i of every mask a decision finds.
-    orders = [walked[0] if walked else _vertex_order(adj, block)
-              for block, walked in zip(big, walks)]
-    rows: list[list[int] | None] = [None] * len(big)
-    for j, order in enumerate(orders):
-        if walks[j] is None:
-            bits = [1 << i for i in range(len(order))]
-            rows[j] = [sum([bit for u, bit in zip(order, bits) if adj[v] >> u & 1]) for v in order]
+    odd.sort()  # if any s odd co-cycles fit whole, the s smallest do
+    if parts and not _join_has_clique(adj, big, parts[-1] - omega):
+        return [0] * (r - 1) + [sum(blocks)]
+    # Searched block j's vertex i is orders[j][i], bit i of its decisions.
+    orders = [_vertex_order(adj, block) for block in big]
+    rows = [[sum([1 << i for i, u in enumerate(order) if adj[v] >> u & 1]) for v in order]
+            for order in orders]
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
-    placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...]] | None] = {}
+    placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...], int] | None] = {}
 
     def decide(j: int, d: tuple[int, ...]) -> list[int] | None:
         # A cap of 1 keeps its class empty, so only the live colors are
@@ -360,44 +364,43 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
         key = (big[j], caps)
         if key not in decided:
             order = orders[j]
-            if walks[j] is not None:
-                found = _walk_coloring(len(order), walks[j][1], caps)
+            masks = [0] * len(caps)
+            # Caps ascend, so a last cap of 2 asks for a proper coloring.
+            # No caps at all stay with `_extend`: no coloring, at no node.
+            if caps and caps[-1] == 2:
+                ok = _color(rows[j], (1 << len(order)) - 1, masks, [0] * len(caps), 0, bud)
             else:
-                masks = [0] * len(caps)
-                # Caps ascend, so a last cap of 2 asks for a proper coloring.
-                # No caps at all stay with `_extend`: no coloring, at no node.
-                if caps and caps[-1] == 2:
-                    ok = _color(rows[j], (1 << len(order)) - 1, masks, [0] * len(caps), 0, bud)
-                else:
-                    ok = _extend(rows[j], caps, 0, masks, bud)
-                found = masks if ok else None
-            for c, mask in enumerate(found or ()):  # back to input labels
+                ok = _extend(rows[j], caps, 0, masks, bud)
+            for c, mask in enumerate(masks if ok else ()):  # back to input labels
                 label = 0
                 while mask:
                     label |= 1 << order[(mask & -mask).bit_length() - 1]
                     mask &= mask - 1
-                found[c] = label
-            decided[key] = found
-        found = decided[key]
-        if found is None:
+                masks[c] = label
+            decided[key] = masks if ok else None
+        if decided[key] is None:
             return None
         out = [0] * r
-        for c, mask in zip(live, found):
+        for c, mask in zip(live, decided[key]):
             out[c] = mask
         return out
 
-    def place(j: int, room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...]] | None:
-        """Masks of blocks j.. and the room they leave for the K_k, or None."""
+    def place(j: int, room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], int] | None:
+        """Masks of searched blocks j.. and of the odd co-cycles put whole,
+        the room they leave, and how many went whole; or None."""
         if j == len(big):
-            return ([0] * r, room) if sum(room) >= k else None
+            short = max(units - sum(room), 0)
+            masks = [0] * r
+            left = _place_whole(odd[:short], room, masks, set()) if short <= len(odd) else None
+            return None if left is None else (masks, left, short)
         key = (j, room)
         if key in placed:
             return placed[key]
         placed[key] = None
-        # Every block after this one needs a room of at least 1.
-        spare = sum(room) - k - (len(big) - 1 - j)
+        # Each searched block after this one needs 1, each odd co-cycle t.
+        spare = sum(room) - units + len(odd) - (len(big) - 1 - j)
         passed: list[tuple[int, ...]] = []
-        for total in range(spare if j == len(big) - 1 else 1, spare + 1):
+        for total in range(spare - len(odd) if j == len(big) - 1 else 1, spare + 1):
             for d in _splits(room, total):
                 if any(all(x >= y for x, y in zip(d, e)) for e in passed):
                     continue
@@ -406,7 +409,7 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
                     continue
                 rest = place(j + 1, tuple(a - b for a, b in zip(room, d)))
                 if rest is not None:
-                    placed[key] = [m | n for m, n in zip(masks, rest[0])], rest[1]
+                    placed[key] = [m | n for m, n in zip(masks, rest[0])], *rest[1:]
                     return placed[key]
                 passed.append(d)
         return None
@@ -414,12 +417,9 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     found = place(0, tuple(a - 1 for a in parts))
     if found is None:
         return None
-    masks, leftover = found
-    for c, spare in enumerate(leftover):  # deal the K_k out by leftover room
-        for _ in range(spare):
-            if singles:
-                masks[c] |= singles & -singles
-                singles &= singles - 1
+    masks, left, short = found
+    folds += [walk for _, _, walk in odd[short:]]
+    _deal_arcs(sorted(folds, key=lambda walk: (len(walk) == 1, len(walk))), list(left), masks)
     return masks
 
 

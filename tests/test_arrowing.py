@@ -193,18 +193,32 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     monkeypatch.setattr(arrowing, "_extend", spy)
     assert verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1)
     assert searched == [10]
-    # Part by part, each C5 (a co-C5) is decided by the walk rule instead.
-    walks = []
-    real_rule = arrowing._walk_coloring
+    # Part by part, each C5 (a co-C5) is decided by the walk rule instead:
+    # counted as room, and colored whole or in arcs by the rule's builders.
+    walks, dealt = [], []
+    real_walk, real_deal = arrowing._co_walk, arrowing._deal_arcs
 
-    def rule_spy(n, closed, caps):
-        walks.append((n, closed))
-        return real_rule(n, closed, caps)
+    def walk_spy(adj, block):
+        found = real_walk(adj, block)
+        walks.append(found and (len(found[0]), found[1]))
+        return found
 
-    monkeypatch.setattr(arrowing, "_walk_coloring", rule_spy)
+    def deal_spy(arcs, room, masks):
+        dealt.extend(len(walk) for walk in arcs)
+        return real_deal(arcs, room, masks)
+
+    monkeypatch.setattr(arrowing, "_co_walk", walk_spy)
+    monkeypatch.setattr(arrowing, "_deal_arcs", deal_spy)
     searched.clear()
     assert arrows(join(cycle(5), cycle(5)), [2, 4])
-    assert searched == [] and walks and set(walks) == {(5, True)}
+    assert searched == [] and walks == [(5, True)] * 2 and dealt == []
+    # Rooms (2, 3) against six units: one C5 goes whole into the first
+    # class, and the other is dealt in arcs.
+    walks.clear()
+    result = find_free_coloring(join(cycle(5), cycle(5)), [3, 4])
+    assert result.verdict == FREE and searched == [] and walks == [(5, True)] * 2
+    assert dealt == [5] and result.coloring[:5] == (0,) * 5
+    assert coloring_is_free(join(cycle(5), cycle(5)), (3, 4), result.coloring)
 
 
 def _smallest_last(adj, block):
@@ -368,6 +382,20 @@ def test_the_walk_rule_matches_the_naive_oracle():
                     assert coloring_is_free(g, parts, result.coloring)
 
 
+def _rule_coloring(n, closed, rooms):
+    """The rule's masks for a lone co-P_n or co-C_n numbered 0..n-1 along
+    its walk, or None: dealt in arcs when its ceil(n/2) units fit the rooms,
+    else, for an odd co-cycle, put whole in a class with room floor(n/2)."""
+    masks = [0] * len(rooms)
+    if 2 * sum(rooms) >= n:
+        arrowing._deal_arcs([list(range(n))], list(rooms), masks)
+        return masks
+    if closed and n % 2 and arrowing._place_whole([(n // 2, (1 << n) - 1, None)],
+                                                   tuple(rooms), masks, set()) is not None:
+        return masks
+    return None
+
+
 def test_every_rule_coloring_is_free():
     # The rule's colorings, on the walk 0..n-1, against the closed-form
     # oracle: every vertex in one class, and class i's clique number below
@@ -378,8 +406,8 @@ def test_every_rule_coloring_is_free():
     for n in range(2, 65):
         for closed in (False, True) if n >= 3 else (False,):
             for caps in rng.sample(sigs, 40):
-                masks = arrowing._walk_coloring(n, closed, caps)
                 rooms = [cap - 1 for cap in caps]
+                masks = _rule_coloring(n, closed, rooms)
                 expected = 2 * sum(rooms) >= n or closed and 2 * max(rooms) >= n - 1
                 assert (masks is not None) == expected, (n, closed, caps)
                 if masks is None:
@@ -390,6 +418,30 @@ def test_every_rule_coloring_is_free():
                     positions = [i for i in range(n) if mask >> i & 1]
                     assert walk_clique_number(n, closed, positions) <= room, (n, closed, caps)
     assert free > 2000
+
+
+def test_walks_dealt_from_one_room_stay_within_it():
+    # Several counted parts share the room: 1-3 walks dealt in one call,
+    # each numbered along its walk in its own bit range.  Each class's
+    # clique numbers over the walks sum to at most its room.
+    rng = random.Random(2323)
+    sigs = [s for s in signatures_up_to(4, 40) if s[-1] <= 13]
+    for _ in range(2000):
+        walks = [(rng.randint(1, 20), rng.random() < 0.5) for _ in range(rng.randint(1, 3))]
+        rooms = [cap - 1 for cap in rng.choice(sigs)]
+        if sum((n + 1) // 2 for n, _ in walks) > sum(rooms):
+            continue
+        starts = [sum(n for n, _ in walks[:i]) for i in range(len(walks))]
+        masks = [0] * len(rooms)
+        arrowing._deal_arcs([list(range(s, s + n)) for s, (n, _) in zip(starts, walks)],
+                            list(rooms), masks)
+        assert sum(masks) == (1 << sum(n for n, _ in walks)) - 1
+        for mask, room in zip(masks, rooms):
+            omega = 0
+            for s, (n, closed) in zip(starts, walks):
+                positions = [i for i in range(n) if mask >> (s + i) & 1]
+                omega += walk_clique_number(n, closed and n >= 3, positions) if positions else 0
+            assert omega <= room, (walks, rooms)
 
 
 def test_the_walk_takes_only_one_path_or_one_cycle():
@@ -455,7 +507,7 @@ def test_the_stock_sweep_is_decided_by_the_rule(monkeypatch):
     def no_search(*args):
         raise AssertionError("a stock witness reached a search")
 
-    for name in ("_extend", "_color", "_mask_has_clique"):
+    for name in ("_extend", "_color", "_mask_has_clique", "_splits", "_vertex_order"):
         monkeypatch.setattr(arrowing, name, no_search)
     sweep = _stock_sweep()
     assert len(sweep) == 227

@@ -6,11 +6,14 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
+from folkman import arrowing, graphs as graphs_
 from folkman.arrowing import ARROWS, FREE, UNDECIDED, SearchResult, find_free_coloring
-from folkman.graphs import Graph, complement, complete, from_edges, has_clique, join
+from folkman.formats import parse_graph6
+from folkman.graphs import Graph, complement, complete, cycle, from_edges, has_clique, join
 from folkman.signatures import normalize
 
-from conftest import brute_subset_has_clique, coloring_is_free, naive_find_free
+from conftest import (brute_subset_has_clique, circulant, coloring_is_free, mycielskian,
+                      naive_arrows, naive_find_free)
 
 MAX_N = 8
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -123,3 +126,70 @@ def test_larger_co_connected_parts(g, raw):
     # and degree order, sparse and dense; small caps keep the naive r^n scan
     # to seconds.
     _agrees_with_the_oracle(g, raw)
+
+
+GROTZSCH = mycielskian(cycle(5))
+C13 = circulant(13, (1, 2, 3, 5))
+
+
+def _co_walk_part(n: int, closed: bool) -> Graph:
+    """co-C_n if `closed`, else co-P_n, numbered along the walk."""
+    return complement(cycle(n) if closed else from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+walk_parts = st.one_of(st.integers(2, 7).map(lambda n: _co_walk_part(n, False)),
+                       st.integers(3, 9).map(lambda n: _co_walk_part(n, True)))
+
+
+@st.composite
+def walk_joins(draw):
+    """A join of 1-3 co-paths and co-cycles with K_0..K_3 and at most one
+    searched part, its operands in any order; and whether every part other
+    than a singleton is a walk."""
+    operands = draw(st.lists(walk_parts, min_size=1, max_size=3))
+    operands.append(complete(draw(st.integers(0, 3))))
+    searched = draw(st.sampled_from([None, GROTZSCH, C13]))
+    if searched is not None:
+        operands.append(searched)
+    out = complete(0)
+    for g in draw(st.permutations(operands)):
+        out = join(out, g)
+    return out, searched is None
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(walk_joins(), st.lists(st.integers(2, 7), min_size=1, max_size=3))
+@example((parse_graph6("Puz~vz}~v~^]~~~~~~n~x~~c"), True), [2, 2, 6])
+@example((parse_graph6("Puz~vz}~v~^]~~~~~~n~x~~c"), True), [2, 2, 7])
+def test_joins_of_several_walk_parts(case, raw):
+    # Walk parts counted as room against the search that `_co_walk`
+    # returning None forces on them.
+    g, walks_only = case
+    sig = normalize(raw)
+    result = find_free_coloring(g, sig)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(arrowing, "_co_walk", lambda adj, block: None)
+        general = find_free_coloring(g, sig)
+    assert result.verdict == general.verdict
+    if walks_only:
+        assert result.nodes == 0
+    if result.verdict == FREE:
+        assert graphs_._is_free_coloring(g, sig.parts, result.coloring)
+    if g.n <= MAX_N:
+        assert (result.verdict == ARROWS) == naive_arrows(g, sig.parts)
+
+
+def test_two_odd_co_cycles_fit_only_whole_in_one_class():
+    # K1 + co-P4 + co-C7 + co-C5 holds 1 + 2 + 4 + 3 = 10 units.  Against
+    # (2,2,6) the room is 7, and putting both co-cycles whole saves only 2
+    # of the 3 units short: it arrows.  Against (2,2,7) the room of 8 is 2
+    # short, so both co-cycles must go whole, and only the third class, of
+    # room 6 >= 3 + 2, can take them.
+    g = parse_graph6("Puz~vz}~v~^]~~~~~~n~x~~c")
+    assert [arrowing._co_walk(g.adj, block) is not None
+            for block in graphs_._co_components(g.adj, (1 << g.n) - 1)] == [True] * 4
+    assert find_free_coloring(g, [2, 2, 6]) == SearchResult(ARROWS, None, 0)
+    result = find_free_coloring(g, [2, 2, 7])
+    assert (result.verdict, result.nodes) == (FREE, 0)
+    assert graphs_._is_free_coloring(g, (2, 2, 7), result.coloring)
+    assert set(result.coloring[5:]) == {2}  # co-C7 is 5..11, co-C5 12..16
