@@ -30,11 +30,15 @@ So co-P_n and co-C_{2t} count as ceil(n/2) units of room, as K_{ceil(n/2)}
 does, and co-C_{2t+1} as t + 1 units or as one class of room t that takes
 it whole, saving a unit.  The room the searched parts leave must hold the
 units less those saved; if any s odd co-cycles fit whole, the s smallest
-do (`_place_whole`).  `_deal_arcs` colors the rest in arcs along each walk.
+do (`_place_whole`).  `_co_walk` finds each walk in one pass, and
+`_deal_arcs` writes the rest straight into the output coloring, class by
+class in arcs along each walk.
 
 A searched part is numbered once in smallest-last order (`_vertex_order`),
-with its rows renumbered to match; every decision works in those positions,
-and the masks it finds are mapped back to input labels in one place.
+with its rows renumbered from each vertex's neighbours; every decision
+works in those positions.  The masks it finds are mapped back to input
+labels and, with those of the odd co-cycles put whole, written into the
+output coloring in one place.
 `_extend` colors it vertex by vertex in that order and prunes a branch once
 a class would hold its forbidden clique (`graphs._mask_has_clique`); under
 caps all 2, `_color` asks for a proper coloring with forward checking
@@ -181,17 +185,6 @@ def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: 
     return False
 
 
-def _coloring_from_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    out = [0] * n
-    for c, mask in enumerate(masks):
-        rest = mask
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            rest &= rest - 1
-            out[v] = c
-    return tuple(out)
-
-
 def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     """The vertices of `block` in smallest-last order (Matula & Beck 1983):
     a vertex of least degree among those left, the lowest on ties, is
@@ -238,39 +231,47 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
 def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
     """The vertices of `block` along its complement, with True if that walk
     closes, when the complement of the block is one path or one cycle: the
-    block is then co-P_n or co-C_n.  None otherwise, as soon as a vertex has
-    more than two non-neighbours in `block`.
+    block is then co-P_n or co-C_n.  None otherwise, as soon as a vertex on
+    the walk has more than two non-neighbours in `block`.
 
     The walk starts at the lowest path end, or at the lowest vertex of a
-    cycle, and steps to the lowest unvisited non-neighbour."""
-    start = -1
-    rest = block
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        count = (block & ~adj[bit.bit_length() - 1] ^ bit).bit_count()
-        if count > 2:
-            return None
-        if count < 2 and start < 0:
-            start = bit.bit_length() - 1
-    closed = start < 0
-    v = (block & -block).bit_length() - 1 if closed else start
-    walk = [v]
+    cycle, and steps to the lowest unvisited non-neighbour.  It is found in
+    one pass: from the lowest vertex towards its lower non-neighbour, then,
+    unless that closed a cycle, towards the other."""
+    v = (block & -block).bit_length() - 1
     seen = 1 << v
-    step = block & ~adj[v] & ~seen
-    while step:
-        bit = step & -step
-        seen |= bit
-        v = bit.bit_length() - 1
-        walk.append(v)
-        step = block & ~adj[v] & ~seen
-    return (walk, closed) if seen == block else None
+    ends = block & ~adj[v] ^ seen
+    degree = ends.bit_count()
+    if degree > 2:
+        return None
+    sides = []
+    while ends:
+        bit = ends & -ends
+        side = []
+        while bit:
+            seen |= bit
+            u = bit.bit_length() - 1
+            side.append(u)
+            step = block & ~adj[u] ^ bit
+            if step.bit_count() > 2:
+                return None
+            bit = step & ~seen
+        sides.append(side)
+        ends &= ~seen
+    if seen != block:
+        return None
+    if len(sides) == 2:  # v inside a path: start at its lower end
+        first, second = sides if sides[0][-1] < sides[1][-1] else sides[::-1]
+        return first[::-1] + [v] + second, False
+    # v ends a path, or its one side came back round a cycle.
+    return [v, *(sides[0] if sides else ())], degree == 2
 
 
-def _deal_arcs(walks: list[list[int]], room: list[int], masks: list[int]) -> None:
+def _deal_arcs(walks: list[list[int]], room: list[int], coloring: list[int]) -> None:
     """Color each walk, a co-P_n or co-C_n along its complement, out of `room`,
     which holds their ceil(n/2) units: class by class, an arc of L vertices,
-    L <= 2 * room[c], costs class c ceil(L/2), at least its clique number."""
+    L <= 2 * room[c], costs class c ceil(L/2), at least its clique number.
+    Each vertex v of an arc dealt to class c gets coloring[v] = c."""
     c = 0
     for walk in walks:
         while walk:
@@ -278,7 +279,8 @@ def _deal_arcs(walks: list[list[int]], room: list[int], masks: list[int]) -> Non
                 c += 1
             arc, walk = walk[:2 * room[c]], walk[2 * room[c]:]
             room[c] -= (len(arc) + 1) // 2
-            masks[c] |= sum([1 << v for v in arc])
+            for v in arc:
+                coloring[v] = c
 
 
 def _place_whole(odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
@@ -317,9 +319,9 @@ def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
 
 
 def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[int],
-                   bud: _Budget) -> list[int] | None:
-    """One mask per color of a free coloring of the join of `blocks`, or None
-    if the join arrows `parts`.
+                   bud: _Budget) -> tuple[int, ...] | None:
+    """A free coloring (vertex -> color) of the join of `blocks`, or None if
+    the join arrows `parts`.
 
     The blocks the walk rule decides count as units of room.  Searched block
     j takes a share d <= room, must be free under caps d + 1, and leaves
@@ -348,11 +350,23 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     big.sort(key=int.bit_count)  # the largest block is placed last
     odd.sort()  # if any s odd co-cycles fit whole, the s smallest do
     if parts and not _join_has_clique(adj, big, parts[-1] - omega):
-        return [0] * (r - 1) + [sum(blocks)]
-    # Searched block j's vertex i is orders[j][i], bit i of its decisions.
+        return (r - 1,) * len(adj)
+    # Searched block j's vertex i is orders[j][i], bit i of its decisions,
+    # and at[v] is v's position in its block's order.
     orders = [_vertex_order(adj, block) for block in big]
-    rows = [[sum([1 << i for i, u in enumerate(order) if adj[v] >> u & 1]) for v in order]
-            for order in orders]
+    at = [0] * len(adj)
+    rows = []
+    for block, order in zip(big, orders):
+        for i, v in enumerate(order):
+            at[v] = i
+        rows.append([])
+        for v in order:
+            row, nbrs = 0, adj[v] & block
+            while nbrs:
+                bit = nbrs & -nbrs
+                row |= 1 << at[bit.bit_length() - 1]
+                nbrs ^= bit
+            rows[-1].append(row)
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
     placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...], int] | None] = {}
 
@@ -418,9 +432,14 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     if found is None:
         return None
     masks, left, short = found
+    coloring = [0] * len(adj)
+    for c, mask in enumerate(masks):  # the searched blocks and odd co-cycles put whole
+        while mask:
+            coloring[(mask & -mask).bit_length() - 1] = c
+            mask &= mask - 1
     folds += [walk for _, _, walk in odd[short:]]
-    _deal_arcs(sorted(folds, key=lambda walk: (len(walk) == 1, len(walk))), list(left), masks)
-    return masks
+    _deal_arcs(sorted(folds, key=lambda walk: (len(walk) == 1, len(walk))), list(left), coloring)
+    return tuple(coloring)
 
 
 def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
@@ -449,12 +468,10 @@ def _decide(g: Graph, sig: Signature, blocks: list[int],
         raise ValueError("budget must be positive (or None for unlimited)")
     bud = _Budget(budget)
     try:
-        masks = _join_coloring(g.adj, sig.parts, blocks, bud)
+        coloring = _join_coloring(g.adj, sig.parts, blocks, bud)
     except BudgetExceededError:
         return SearchResult(UNDECIDED, None, bud.nodes)
-    if masks is None:
-        return SearchResult(ARROWS, None, bud.nodes)
-    return SearchResult(FREE, _coloring_from_masks(masks, g.n), bud.nodes)
+    return SearchResult(ARROWS if coloring is None else FREE, coloring, bud.nodes)
 
 
 def arrows(g: Graph, sig: Signature | Iterable[int],

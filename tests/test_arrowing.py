@@ -7,13 +7,14 @@ from folkman import arrowing, graphs
 from folkman.arrowing import (ARROWS, FREE, UNDECIDED, BudgetExceededError, SearchResult,
                               arrows, color_classes, find_free_coloring,
                               in_class_H, verify_composition_instance)
+from folkman.formats import parse_graph6
 from folkman.graphs import Graph, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
 from folkman.witnesses import VERIFIED, base_witness
 
-from conftest import (brute_subset_has_clique, circulant, coloring_is_free, mycielskian,
-                      naive_arrows, properly_colorable, random_graph, signatures_up_to,
-                      walk_clique_number)
+from conftest import (all_graphs, brute_subset_has_clique, circulant, co_walk_oracle,
+                      coloring_is_free, mycielskian, naive_arrows, properly_colorable,
+                      random_graph, signatures_up_to, walk_clique_number)
 
 P4 = from_edges(4, [(0, 1), (1, 2), (2, 3)])
 # omega = 4 and co-connected, with no co-path or co-cycle part: a general part
@@ -203,9 +204,9 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
         walks.append(found and (len(found[0]), found[1]))
         return found
 
-    def deal_spy(arcs, room, masks):
+    def deal_spy(arcs, room, coloring):
         dealt.extend(len(walk) for walk in arcs)
-        return real_deal(arcs, room, masks)
+        return real_deal(arcs, room, coloring)
 
     monkeypatch.setattr(arrowing, "_co_walk", walk_spy)
     monkeypatch.setattr(arrowing, "_deal_arcs", deal_spy)
@@ -383,16 +384,18 @@ def test_the_walk_rule_matches_the_naive_oracle():
 
 
 def _rule_coloring(n, closed, rooms):
-    """The rule's masks for a lone co-P_n or co-C_n numbered 0..n-1 along
+    """The rule's coloring of a lone co-P_n or co-C_n numbered 0..n-1 along
     its walk, or None: dealt in arcs when its ceil(n/2) units fit the rooms,
-    else, for an odd co-cycle, put whole in a class with room floor(n/2)."""
-    masks = [0] * len(rooms)
+    else, for an odd co-cycle, put whole in a class with room floor(n/2).
+    It starts from -1s, so a vertex the rule leaves out stays -1."""
     if 2 * sum(rooms) >= n:
-        arrowing._deal_arcs([list(range(n))], list(rooms), masks)
-        return masks
+        coloring = [-1] * n
+        arrowing._deal_arcs([list(range(n))], list(rooms), coloring)
+        return coloring
+    masks = [0] * len(rooms)
     if closed and n % 2 and arrowing._place_whole([(n // 2, (1 << n) - 1, None)],
                                                    tuple(rooms), masks, set()) is not None:
-        return masks
+        return [masks.index((1 << n) - 1)] * n
     return None
 
 
@@ -407,15 +410,15 @@ def test_every_rule_coloring_is_free():
         for closed in (False, True) if n >= 3 else (False,):
             for caps in rng.sample(sigs, 40):
                 rooms = [cap - 1 for cap in caps]
-                masks = _rule_coloring(n, closed, rooms)
+                coloring = _rule_coloring(n, closed, rooms)
                 expected = 2 * sum(rooms) >= n or closed and 2 * max(rooms) >= n - 1
-                assert (masks is not None) == expected, (n, closed, caps)
-                if masks is None:
+                assert (coloring is not None) == expected, (n, closed, caps)
+                if coloring is None:
                     continue
                 free += 1
-                assert sum(masks) == (1 << n) - 1 and len(masks) == len(caps)
-                for mask, room in zip(masks, rooms):
-                    positions = [i for i in range(n) if mask >> i & 1]
+                assert len(coloring) == n and all(0 <= c < len(caps) for c in coloring)
+                for c, room in enumerate(rooms):
+                    positions = [i for i in range(n) if coloring[i] == c]
                     assert walk_clique_number(n, closed, positions) <= room, (n, closed, caps)
     assert free > 2000
 
@@ -432,14 +435,14 @@ def test_walks_dealt_from_one_room_stay_within_it():
         if sum((n + 1) // 2 for n, _ in walks) > sum(rooms):
             continue
         starts = [sum(n for n, _ in walks[:i]) for i in range(len(walks))]
-        masks = [0] * len(rooms)
+        coloring = [-1] * sum(n for n, _ in walks)
         arrowing._deal_arcs([list(range(s, s + n)) for s, (n, _) in zip(starts, walks)],
-                            list(rooms), masks)
-        assert sum(masks) == (1 << sum(n for n, _ in walks)) - 1
-        for mask, room in zip(masks, rooms):
+                            list(rooms), coloring)
+        assert all(0 <= c < len(rooms) for c in coloring)
+        for c, room in enumerate(rooms):
             omega = 0
             for s, (n, closed) in zip(starts, walks):
-                positions = [i for i in range(n) if mask >> (s + i) & 1]
+                positions = [i for i in range(n) if coloring[s + i] == c]
                 omega += walk_clique_number(n, closed and n >= 3, positions) if positions else 0
             assert omega <= room, (walks, rooms)
 
@@ -452,6 +455,50 @@ def test_the_walk_takes_only_one_path_or_one_cycle():
         assert arrowing._co_walk(g.adj, (1 << g.n) - 1) is None
     assert arrowing._co_walk(P4.adj, 15) == ([1, 3, 0, 2], False)  # P4 is co-P4
     assert arrowing._co_walk(cycle(5).adj, 31) == ([0, 2, 4, 1, 3], True)
+
+
+def test_the_walk_matches_the_oracle_on_every_small_block():
+    found = set()
+    for n in range(2, 6):
+        for g in all_graphs(n):
+            for block in range(3, 1 << n):
+                if block & (block - 1):
+                    walk = arrowing._co_walk(g.adj, block)
+                    assert walk == co_walk_oracle(g.adj, block), (g.edges(), block)
+                    found.add(walk[1] if walk else None)
+    assert found == {None, False, True}
+
+
+def test_the_walk_matches_the_oracle_near_a_path_or_cycle():
+    # Relabelled co-P_n and co-C_n, as they are and with one co-edge added
+    # or removed: a path may close into a cycle, a cycle open into a path,
+    # and either may branch or split.
+    rng = random.Random(2424)
+    found = set()
+    for n in range(2, 25):
+        for closed in (False, True) if n >= 3 else (False,):
+            g = _co_walk_graph(n, closed, rng.randrange(10**6))
+            variants = [g]
+            for _ in range(12):
+                u, v = rng.sample(range(n), 2)
+                edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
+                variants.append(from_edges(n, sorted(edges)))
+            for h in variants:
+                walk = arrowing._co_walk(h.adj, (1 << n) - 1)
+                assert walk == co_walk_oracle(h.adj, (1 << n) - 1), (n, closed)
+                found.add(walk[1] if walk else None)
+    assert found == {None, False, True}
+
+
+def test_two_rule_colorings_are_pinned():
+    # The rule's coloring is fixed output: a change to it must be listed.
+    g = parse_graph6("Iuzvvz}no")  # join(K1, co-C9)
+    result = find_free_coloring(g, (4, 4))
+    assert result.nodes == 0
+    assert color_classes(result.coloring, 2) == [[1, 2, 3, 4, 5, 6], [0, 7, 8, 9]]
+    g = base_witness((6, 9), 14).graph  # join(K4, co-C19)
+    assert find_free_coloring(g, (7, 9)) == SearchResult(
+        FREE, (1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1, 1), 0)
 
 
 # Stock witnesses join(K_{m-p-1}, co-C_{2p+1}) at q = m.
