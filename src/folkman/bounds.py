@@ -95,8 +95,7 @@ class KnownTable:
 
     def __init__(self, entries: Iterable[KnownValue] = ()):
         self._by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
-        # The composition DP per prefix (`_best_splits`), priced from this table.
-        self._splits: dict[tuple[int, ...], _Splits] = {}
+        self._splits: dict[tuple[int, ...], tuple[dict, dict]] = {}  # `_best_splits` per prefix
         for entry in entries:
             sig, q = entry.signature, entry.q
             where = f"{entry.source}: " if entry.source else ""
@@ -231,53 +230,35 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
     return BoundRecord(sig, q, lower, upper, provenance, note)
 
 
-class _Splits:
-    """The composition DP for one prefix: price[v] is (upper, leaf rule) for
-    F(prefix, v; v+1), absent when no upper is known, and best[v] is the
-    minimizing (total, block multiset).  Every v from prefix[-1] to `top` is
-    done; an entry depends on v and the entries below it, never on the a_r
-    that asked for it, so a larger a_r extends the same dicts."""
+def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable) -> tuple[dict, dict]:
+    """The composition DP of `composition_bound`, kept per prefix on `table`
+    as (price, best) and extended to every block sum v <= ar.
 
-    __slots__ = ("price", "best", "top")
-
-    def __init__(self, prefix: tuple[int, ...]):
-        self.price: dict[int, tuple[int, Rule]] = {}
-        self.best: dict[int, tuple[int, tuple[int, ...]]] = {}
-        self.top = prefix[-1] - 1
-
-
-def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable | None) -> _Splits:
-    """The composition DP of `composition_bound`, done for every block sum
-    v <= ar (and perhaps beyond) and kept per prefix on `table`; without a
-    table it is done afresh.
-
-    Blocks below max(prefix[-1], MIN_COMPOSE_PART) stand only alone.
+    price[v] is (upper, leaf rule) for F(prefix, v; v+1), absent when no
+    upper is known; best[v] is the minimizing (total, block multiset), None
+    when no split has an upper.  An entry depends on v and the entries below
+    it, never on the a_r that asked for it, so best holds each v done from
+    prefix[-1] up and the DP resumes at prefix[-1] + len(best).  Blocks
+    below max(prefix[-1], MIN_COMPOSE_PART) stand only alone.
     """
-    memo = {} if table is None else table._splits
-    splits = memo.get(prefix)
+    splits = table._splits.get(prefix)
     if splits is None:
-        splits = memo[prefix] = _Splits(prefix)
-    price, best = splits.price, splits.best
+        splits = table._splits[prefix] = ({}, {})
+    price, best = splits
     min_part = max(prefix[-1], MIN_COMPOSE_PART)
-    for v in range(splits.top + 1, ar + 1):
+    for v in range(prefix[-1] + len(best), ar + 1):
         merged = Signature(prefix + (v,))
         rules = base_bounds(merged, v + 1)
-        _, known, citations = (table.combined(merged, v + 1) if table is not None
-                               else (None, None, []))
+        _, known, citations = table.combined(merged, v + 1)
+        at = f"F({merged};{v + 1}) <= "
         if known is not None and (rules.upper is None or known < rules.upper):
-            price[v] = known, Rule(RULE_KNOWN_TABLE,
-                                   f"F({merged};{v + 1}) <= {known} ({'; '.join(citations)})")
+            price[v] = known, Rule(RULE_KNOWN_TABLE, f"{at}{known} ({'; '.join(citations)})")
         elif rules.upper is not None:
-            price[v] = rules.upper, Rule(rules.provenance[-1].name,
-                                         f"F({merged};{v + 1}) <= {rules.upper}")
+            price[v] = rules.upper, Rule(rules.provenance[-1].name, f"{at}{rules.upper}")
         candidates = [(price[v][0], (v,))] if v in price else []
-        for u in range(min_part, v // 2 + 1):
-            if u in best and v - u in best:
-                candidates.append((best[u][0] + best[v - u][0],
-                                   tuple(sorted(best[u][1] + best[v - u][1]))))
-        if candidates:
-            best[v] = min(candidates, key=lambda c: (c[0], len(c[1]), c[1]))
-        splits.top = v
+        candidates += [(best[u][0] + best[v - u][0], tuple(sorted(best[u][1] + best[v - u][1])))
+                       for u in range(min_part, v // 2 + 1) if best[u] and best[v - u]]
+        best[v] = min(candidates, key=lambda c: (c[0], len(c[1]), c[1]), default=None)
     return splits
 
 
@@ -290,10 +271,9 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     the total over all splits by dynamic programming.  Multi-block splits
     use blocks of size >= max(a_{r-1}, MIN_COMPOSE_PART); the single-block
     split is always admissible.  Ties prefer fewer blocks, then the
-    lexicographically smallest block multiset.  `table=None` means no
-    table: every block is priced by the direct rules alone.  With a table
-    the DP is computed once per (a1..a_{r-1}, table) and extended when a
-    larger a_r is asked.
+    lexicographically smallest block multiset.  `table=None` means the
+    bundled table, as in `best_bounds`; an empty `KnownTable()` leaves the
+    direct rules alone.  The DP is kept per (a1..a_{r-1}, table).
     """
     sig = as_signature(sig)
     if sig.r < 2:
@@ -301,9 +281,10 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     ar = sig.parts[-1]
     if q != ar + 1:
         raise ValueError(f"composition bound only applies at q = a_r + 1 = {ar + 1}, got q={q}")
-    splits = _best_splits(sig.parts[:-1], ar, table)
-    price, best = splits.price, splits.best
-    if ar not in best:
+    if table is None:
+        table = default_table()
+    price, best = _best_splits(sig.parts[:-1], ar, table)
+    if best[ar] is None:
         return BoundRecord(sig, q, None, None, (),
                            note="no composition block has a known upper bound")
     total, blocks = best[ar]
@@ -333,9 +314,8 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     Intersects the direct rules, the known-values table, the composition
     bound (when q = a_r + 1), and the subsumption link that lets a
     (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
-    provenance lists every contributor.  `table=None` means the bundled
-    table alone, shared by every such call.  The composition DP is computed
-    once per prefix and table, so calls that share a table share it.
+    provenance lists every contributor.  `table=None` means the shared
+    bundled table; calls that share a table share its composition DP.
     """
     sig = as_signature(sig)
     if table is None:
@@ -404,8 +384,8 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     quarter_holds = []
     families = (("3,p", (3,), closed_form_upper_3p), ("2,2,p", (2, 2), closed_form_upper_22p))
     for name, prefix, closed_form in families:
-        best = _best_splits(prefix, p_max, table).best
-        uppers = {p: best[p][0] for p in range(4, p_max + 1) if p in best}
+        _, best = _best_splits(prefix, p_max, table)
+        uppers = {p: best[p][0] for p in range(4, p_max + 1) if best[p] is not None}
         for p in range(4, p_max + 1):
             checks += 1
             if p not in uppers:

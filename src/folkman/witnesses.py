@@ -1,10 +1,11 @@
 """Witness certificates: concrete graphs whose verified membership in
 H(a1,...,ar;q) proves an upper bound on F(a1,...,ar;q).
 
-Construction families are treated as hypotheses: a certificate is only
-marked verified after the arrowing engine has exhaustively confirmed it (or,
-for joins of witnesses the engine rechecks, by the composition law, which
-is sound without searching the join).  Refutations carry concrete evidence.
+Construction families are treated as hypotheses: a certificate, K_m
+included, is only marked verified after the arrowing engine has
+exhaustively confirmed it (or, for joins of witnesses the engine rechecks,
+by the composition law, which is sound without searching the join).
+Refutations carry concrete evidence.
 """
 
 from __future__ import annotations
@@ -73,9 +74,10 @@ def _check(graph: Graph, sig: Signature, q: int, construction: str,
 def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
     """Construct and check the stock witness for (sig, q).
 
-    For q > m the complete graph K_m is a witness outright: coloring its m
+    For q > m the candidate is the complete graph K_m: coloring its m
     vertices with caps summing to m-1 must overload some class, and its
-    clique number m stays below q.  For q = m the candidate is
+    clique number m stays below q; the engine's walk rule decides it at no
+    node.  For q = m the candidate is
     join(K_{m-p-1}, complement(C_{2p+1})) on m+p vertices with clique number
     m-1; it is never trusted, only certified after the engine confirms it.
     The engine decides its co-C_{2p+1} part by the rule in `arrowing`, at no
@@ -86,7 +88,7 @@ def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
     m, p = sig.m, sig.p
     if q > m:
-        return WitnessCertificate(complete(m), sig, q, VERIFIED, f"complete({m})")
+        return _check(complete(m), sig, q, f"complete({m})", None)
     if q < m:
         raise ValueError(f"no base construction known for q={q} < m={m}")
     graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))

@@ -447,6 +447,32 @@ def test_walks_dealt_from_one_room_stay_within_it():
             assert omega <= room, (walks, rooms)
 
 
+def test_whole_co_cycles_remember_the_rooms_that_failed(monkeypatch):
+    # The join of 11 co-C5 on 55 vertices.  Dealt in arcs, each co-C5 costs
+    # 3 units; put whole, 2, but a class of room 3 takes at most one whole.
+    # So w parts whole need 33 - w units: 8 classes (24 units) would need
+    # w >= 9 > 8, and the join arrows [4] * 8; 9 classes (27 units) fit with
+    # w = 6.  The 8! placements of equal rooms are interchangeable, so
+    # without `failed` the arrowing answer takes about 10^5 calls.
+    co_c5 = complement(cycle(5))
+    g = co_c5
+    for _ in range(10):
+        g = join(g, co_c5)
+    calls = []
+    real = arrowing._place_whole
+
+    def counting(odd, room, masks, failed):
+        calls.append(room)
+        return real(odd, room, masks, failed)
+
+    monkeypatch.setattr(arrowing, "_place_whole", counting)
+    assert find_free_coloring(g, [4] * 8) == SearchResult(ARROWS, None, 0)
+    assert len(calls) <= 64
+    result = find_free_coloring(g, [4] * 9)
+    assert (result.verdict, result.nodes) == (FREE, 0)
+    assert coloring_is_free(g, (4,) * 9, result.coloring)
+
+
 def test_the_walk_takes_only_one_path_or_one_cycle():
     star = complement(from_edges(4, [(0, 1), (0, 2), (0, 3)]))  # a vertex of co-degree 3
     c5c5 = join(cycle(5), cycle(5))  # the law check's whole join: two co-cycles

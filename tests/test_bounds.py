@@ -115,6 +115,19 @@ def test_composition_bound_without_boundary_rule_is_open():
     assert "no composition" in rec.note
 
 
+def test_the_dp_keeps_every_block_sum_it_has_done():
+    # best holds each v done from prefix[-1] up, None where no split has an
+    # upper: a smaller a_r reads it as it is, a larger one extends it.
+    table = KnownTable()
+    composition_bound([2, 3, 6], 7, table)
+    price, best = table._splits[2, 3]
+    assert price == {} and best == dict.fromkeys(range(3, 7))
+    assert bounds._best_splits((2, 3), 4, table) == (price, best)
+    assert best == dict.fromkeys(range(3, 7))
+    composition_bound([2, 3, 8], 9, table)
+    assert table._splits[2, 3][1] is best and best == dict.fromkeys(range(3, 9))
+
+
 def _all_partitions(total, min_part):
     def rec(remaining, lo):
         if remaining == 0:
@@ -203,6 +216,16 @@ def test_a_table_entry_refreshes_the_composition_dp():
     assert best_bounds([3, 9], 10, table).upper == 34
     assert best_bounds([3, 9], 10, default_table()).upper == 35
     assert composition_bound([3, 9], 10, table).provenance[0].detail == "4+5: 13+21"
+
+
+def test_composition_bound_reads_the_bundled_table_by_default():
+    # As in best_bounds, no table means the bundled one, whose F(3,4;5) = 13
+    # prices the 4-block; an empty table leaves the direct rules alone, and
+    # their best is the single block 9.
+    rec = composition_bound([3, 9], 10)
+    assert rec == composition_bound([3, 9], 10, default_table())
+    assert (rec.upper, rec.provenance[0].detail) == (35, "4+5: 13+22")
+    assert composition_bound([3, 9], 10, KnownTable()).provenance[0].detail == "9: 38"
 
 
 def test_a_sweep_prices_each_block_once(monkeypatch):

@@ -65,6 +65,13 @@ def test_arrow_budget_exit_code(capsys, tmp_path):
     assert "undecided" in out
 
 
+def test_arrow_negative_budget_exits_one(capsys, c5_path):
+    code, out, err = run_cli(capsys, ["arrow", "--graph", c5_path, "--sig", "2,2",
+                                      "--budget", "-1"])
+    assert code == 1 and out == ""
+    assert err.strip() == "error: budget must be >= 0 (0 means unlimited)"
+
+
 def test_arrow_json_schema(capsys, c5_path):
     code, out, _ = run_cli(capsys, ["arrow", "--graph", c5_path, "--sig", "2,2", "--json"])
     assert code == 0
@@ -185,6 +192,13 @@ def test_bound_exact_from_table(capsys):
     assert "= 13 (exact)" in out
 
 
+def test_bound_without_a_rule_has_no_bounds(capsys):
+    code, out, _ = run_cli(capsys, ["bound", "--sig", "2,3,4", "--q", "5"])
+    assert code == 0
+    assert out.strip() == ("F(2,3,4;5): no bounds "
+                           "(no rule for q=5 < m-1=6; supply known values)")
+
+
 def test_bound_above_m(capsys):
     code, out, _ = run_cli(capsys, ["bound", "--sig", "3,4", "--q", "8"])
     assert code == 0
@@ -234,6 +248,12 @@ def test_table_bad_range(capsys):
     code, _, err = run_cli(capsys, ["table", "--kind", "cor1", "--p", "2..5"])
     assert code == 1
     assert "error:" in err
+
+
+def test_table_empty_range_under_json(capsys):
+    code, out, err = run_cli(capsys, ["table", "--kind", "both", "--p", "9..5", "--json"])
+    assert code == 1 and err.strip() == "error: empty p range '9..5'"
+    assert json.loads(out)["result"] == {"error": "empty p range '9..5'"}
 
 
 @pytest.mark.parametrize("text", ["4..", "x", "4..x"])

@@ -61,6 +61,15 @@ def test_edge_list_vertex_out_of_range_reports_line():
     assert "out of range" in str(err.value)
 
 
+@pytest.mark.parametrize("text,message", [
+    ("n x\n", "vertex count 'x' is not an integer (line 1)"),
+    ("n -1\n", "negative vertex count -1 (line 1)")])
+def test_edge_list_bad_vertex_count(text, message):
+    with pytest.raises(GraphFormatError) as err:
+        parse_edge_list(text)
+    assert str(err.value) == message
+
+
 def test_edge_list_malformed():
     with pytest.raises(GraphFormatError):
         parse_edge_list("3\n0 1\n")  # missing header keyword

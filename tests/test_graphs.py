@@ -201,6 +201,12 @@ def test_graph_validation():
         from_edges(3, [(1, 1)])
 
 
+@pytest.mark.parametrize("n", [MAX_VERTICES + 1, -1])
+def test_from_edges_rejects_a_vertex_count_out_of_range(n):
+    with pytest.raises(ValueError, match=f"^vertex count {n} outside supported range 0..64$"):
+        from_edges(n, [])
+
+
 def test_edges_iteration():
     g = from_edges(4, [(0, 1), (2, 3), (0, 3)])
     assert sorted(g.edges()) == [(0, 1), (0, 3), (2, 3)]

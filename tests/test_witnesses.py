@@ -3,8 +3,8 @@ import random
 import pytest
 
 from folkman import graphs, witnesses
-from folkman.arrowing import (FREE, UNDECIDED, SearchResult, arrows, find_free_coloring, in_class_H,
-                              verify_composition_instance)
+from folkman.arrowing import (ARROWS, FREE, UNDECIDED, SearchResult, arrows, find_free_coloring,
+                              in_class_H, verify_composition_instance)
 from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, KnownValue,
                             best_bounds, bundled_known_values, composition_bound,
                             default_table)
@@ -47,6 +47,26 @@ def test_base_witness_above_m_is_complete_graph():
     assert cert.status == VERIFIED
     assert cert.graph == complete(6)
     assert cert.vertices == 6
+
+
+def test_the_complete_graph_witness_is_checked_by_the_engine(monkeypatch):
+    # K_m is verified like every other stock witness: the engine decides it,
+    # by the walk rule at no node, and the record carries no evidence.
+    calls = []
+    real = witnesses.find_free_coloring
+
+    def spy(graph, parts, budget=None):
+        result = real(graph, parts, budget=budget)
+        calls.append((graph, parts, result))
+        return result
+
+    monkeypatch.setattr(witnesses, "find_free_coloring", spy)
+    for sig, q in (([2, 2], 4), ([5], 9), ([3, 4], 7)):
+        cert = base_witness(sig, q)
+        sig = normalize(sig)
+        assert calls.pop() == (complete(sig.m), sig, SearchResult(ARROWS, None, 0))
+        assert cert == WitnessCertificate(complete(sig.m), sig, q, VERIFIED, f"complete({sig.m})")
+    assert calls == []
 
 
 def test_base_witness_all_twos_family():
