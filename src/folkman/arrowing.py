@@ -1,15 +1,15 @@
 """Exhaustive arrowing decisions: does every r-coloring of V(G) produce a
 monochromatic a_i-clique in some color class i?
 
-A graph is first split into its co-components by `graphs._co_components`.
-It is their join, so by the paper's composition law a class's clique number
-is the sum of its clique numbers in the parts, and class i has a room of
-a_i - 1 to share among them.  A part the rule below decides is counted as
-room; every other part is searched, under each sharing that can matter.
-Every search runs in the calling process.
+A graph is first split into its co-components, each walked as it is found
+(`_co_blocks`).  It is their join, so by the paper's composition law a
+class's clique number is the sum of its clique numbers in the parts, and
+class i has a room of a_i - 1 to share among them.  A part the rule below
+decides is counted as room; every other part is searched, under each
+sharing that can matter.  Every search runs in the calling process.
 
 A part whose complement is one path or one cycle, such as a singleton or
-the co-C_{2p+1} of every stock witness, is found by `_co_walk` and decided
+the co-C_{2p+1} of every stock witness, is walked by `_co_walk` and decided
 by the walk rule, at no node.  Along its walk 0..n-1, with shares d_1..d_r:
 
 - co-P_n is free iff d_1 + ... + d_r >= ceil(n/2);
@@ -30,9 +30,8 @@ So co-P_n and co-C_{2t} count as ceil(n/2) units of room, as K_{ceil(n/2)}
 does, and co-C_{2t+1} as t + 1 units or as one class of room t that takes
 it whole, saving a unit.  The room the searched parts leave must hold the
 units less those saved; if any s odd co-cycles fit whole, the s smallest
-do (`_place_whole`).  `_co_walk` finds each walk in one pass, and
-`_deal_arcs` writes the rest straight into the output coloring, class by
-class in arcs along each walk.
+do (`_place_whole`).  `_deal_arcs` writes the rest straight into the
+output coloring, class by class in arcs along each walk.
 
 A searched part is numbered once in smallest-last order (`_vertex_order`),
 with its rows renumbered from each vertex's neighbours; every decision
@@ -56,7 +55,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import (Graph, _co_components, _join_has_clique, _mask_has_clique, has_clique,
+from .graphs import (Graph, _co_component, _join_has_clique, _mask_has_clique, has_clique,
                      join)
 from .signatures import Signature, _Record, as_signature, merge_at
 
@@ -65,6 +64,9 @@ DEFAULT_BUDGET = 10**8
 ARROWS = "arrows"
 FREE = "free-coloring"
 UNDECIDED = "undecided"
+
+# A co-component as (vertex mask, its walk or None, whether the walk closes).
+_Block = tuple[int, list[int] | None, bool]
 
 class BudgetExceededError(RuntimeError):
     """A search used up its node budget.  `find_free_coloring` reports it as
@@ -228,22 +230,24 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     return removed
 
 
-def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
-    """The vertices of `block` along its complement, with True if that walk
-    closes, when the complement of the block is one path or one cycle: the
-    block is then co-P_n or co-C_n.  None otherwise, as soon as a vertex on
-    the walk has more than two non-neighbours in `block`.
+def _co_walk(adj: tuple[int, ...], mask: int) -> _Block:
+    """(block, walk, closed): the co-component of the lowest vertex of
+    `mask` in the subgraph on `mask` and, when it is co-P_n or co-C_n, its
+    vertices along the complement's path or cycle, with True for a cycle.
+    Complement edges never leave a block, so the walk covers it.  Once a
+    vertex on the walk has more than two non-neighbours in `mask`, the
+    block is found by the BFS of `graphs._co_component`, with walk None.
 
     The walk starts at the lowest path end, or at the lowest vertex of a
     cycle, and steps to the lowest unvisited non-neighbour.  It is found in
     one pass: from the lowest vertex towards its lower non-neighbour, then,
     unless that closed a cycle, towards the other."""
-    v = (block & -block).bit_length() - 1
+    v = (mask & -mask).bit_length() - 1
     seen = 1 << v
-    ends = block & ~adj[v] ^ seen
+    ends = mask & ~adj[v] ^ seen
     degree = ends.bit_count()
     if degree > 2:
-        return None
+        return _co_component(adj, mask), None, False
     sides = []
     while ends:
         bit = ends & -ends
@@ -252,19 +256,30 @@ def _co_walk(adj: tuple[int, ...], block: int) -> tuple[list[int], bool] | None:
             seen |= bit
             u = bit.bit_length() - 1
             side.append(u)
-            step = block & ~adj[u] ^ bit
+            step = mask & ~adj[u] ^ bit
             if step.bit_count() > 2:
-                return None
+                return _co_component(adj, mask), None, False
             bit = step & ~seen
         sides.append(side)
         ends &= ~seen
-    if seen != block:
-        return None
     if len(sides) == 2:  # v inside a path: start at its lower end
         first, second = sides if sides[0][-1] < sides[1][-1] else sides[::-1]
-        return first[::-1] + [v] + second, False
+        return seen, first[::-1] + [v] + second, False
     # v ends a path, or its one side came back round a cycle.
-    return [v, *(sides[0] if sides else ())], degree == 2
+    return seen, [v, *(sides[0] if sides else ())], degree == 2
+
+
+def _co_blocks(adj: tuple[int, ...], mask: int) -> list[_Block]:
+    """The co-components of the subgraph on `mask` as `_co_walk` gives them,
+    in one pass: the lowest vertex left is a block of its own when it is
+    joined to everything left, else its co-component is walked."""
+    blocks = []
+    while mask:
+        bit = mask & -mask
+        v = bit.bit_length() - 1
+        blocks.append((bit, [v], False) if mask & ~adj[v] == bit else _co_walk(adj, mask))
+        mask ^= blocks[-1][0]
+    return blocks
 
 
 def _deal_arcs(walks: list[list[int]], room: list[int], coloring: list[int]) -> None:
@@ -318,10 +333,10 @@ def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
             yield (x, *tail)
 
 
-def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[int],
+def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_Block],
                    bud: _Budget) -> tuple[int, ...] | None:
-    """A free coloring (vertex -> color) of the join of `blocks`, or None if
-    the join arrows `parts`.
+    """A free coloring (vertex -> color) of the join of `blocks`, as
+    `_co_walk` gives them, or None if the join arrows `parts`.
 
     The blocks the walk rule decides count as units of room.  Searched block
     j takes a share d <= room, must be free under caps d + 1, and leaves
@@ -335,12 +350,10 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
     folds = []  # the walks of singletons, co-paths and even co-cycles
     odd = []  # (t, block, walk) of each co-C_{2t+1}
     units = omega = 0
-    for block in blocks:
-        walked = _co_walk(adj, block) if block & (block - 1) else ([block.bit_length() - 1], False)
-        if walked is None:
+    for block, walk, closed in blocks:
+        if walk is None:
             big.append(block)
             continue
-        walk, closed = walked
         units += (len(walk) + 1) // 2
         omega += (len(walk) + (not closed)) // 2  # its clique number
         if closed and len(walk) % 2:
@@ -407,6 +420,10 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[in
             masks = [0] * r
             left = _place_whole(odd[:short], room, masks, set()) if short <= len(odd) else None
             return None if left is None else (masks, left, short)
+        if j == len(big) - 1 and not units:
+            # No unit is left to place after the last block: its one share is the room.
+            masks = decide(j, room)
+            return None if masks is None else (masks, (0,) * r, 0)
         key = (j, room)
         if key in placed:
             return placed[key]
@@ -453,17 +470,17 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 
     `jobs` has no effect: every search runs in this process.  It must be
     >= 1, and it is kept only because the benchmark's `parallel` workload
-    passes jobs=2; it goes with that workload (ROADMAP item 2, stage A).
+    passes jobs=2; it goes with that workload (ROADMAP item 3, stage A).
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    return _decide(g, as_signature(sig), _co_components(g.adj, (1 << g.n) - 1), budget)
+    return _decide(g, as_signature(sig), _co_blocks(g.adj, (1 << g.n) - 1), budget)
 
 
-def _decide(g: Graph, sig: Signature, blocks: list[int],
+def _decide(g: Graph, sig: Signature, blocks: list[_Block],
             budget: int | None) -> SearchResult:
-    """Decide g as the join of the vertex masks `blocks`, block by block:
-    a lone block, such as a co-connected graph, is searched whole."""
+    """Decide g as the join of `blocks`, block by block: a lone block with
+    no walk, such as a co-connected graph, is searched whole."""
     if budget is not None and budget <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     bud = _Budget(budget)
@@ -512,5 +529,5 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     rather than decided by itself.
     """
     g = join(g1, g2)
-    return _arrows(_decide(g, merge_at(sig1, sig2, position), [(1 << g.n) - 1],
+    return _arrows(_decide(g, merge_at(sig1, sig2, position), [((1 << g.n) - 1, None, False)],
                            budget), budget)

@@ -7,7 +7,7 @@ vertices.
 
 By the paper's composition law a join's clique number is the sum of its
 parts', so the clique routines answer a join block by block, on its split
-into co-components (the components of the complement) that `arrowing` shares.
+into co-components (the components of the complement), by a BFS `arrowing` shares.
 """
 
 from __future__ import annotations
@@ -193,22 +193,27 @@ def _mask_has_clique(adj: tuple[int, ...], mask: int, k: int) -> bool:
     return False
 
 
+def _co_component(adj: tuple[int, ...], mask: int) -> int:
+    """The co-component of the lowest vertex of `mask` in the subgraph on `mask`, by
+    a BFS over the complement's rows: u's unvisited non-neighbours are `left & ~adj[u]`."""
+    block = frontier = mask & -mask
+    left = mask ^ block
+    while frontier:
+        u = (frontier & -frontier).bit_length() - 1
+        frontier &= frontier - 1
+        new = left & ~adj[u]
+        left ^= new
+        frontier |= new
+        block |= new
+    return block
+
+
 def _co_components(adj: tuple[int, ...], mask: int) -> list[int]:
-    """Vertex masks of the co-components of the subgraph on `mask`, found by a
-    BFS over the complement's rows: u's unvisited non-neighbours are `left & ~adj[u]`."""
+    """Vertex masks of the co-components of the subgraph on `mask`, lowest vertex first."""
     blocks = []
-    left = mask
-    while left:
-        block = frontier = left & -left
-        left ^= block
-        while frontier:
-            u = (frontier & -frontier).bit_length() - 1
-            frontier &= frontier - 1
-            new = left & ~adj[u]
-            left ^= new
-            frontier |= new
-            block |= new
-        blocks.append(block)
+    while mask:
+        blocks.append(_co_component(adj, mask))
+        mask ^= blocks[-1]
     return blocks
 
 

@@ -103,14 +103,16 @@ def normalize(raw: Iterable[int]) -> Signature:
 
     Entries equal to 1 are dropped, the rest are sorted ascending.  A
     literally empty input list is rejected; an all-ones list yields the
-    reserved empty signature.
+    reserved empty signature.  Parts built so skip `Signature.__init__`'s checks.
     """
     entries = list(raw)
     if not entries:
         raise ValueError("signature must contain at least one entry")
     if any(a <= 0 for a in entries):
         raise ValueError(f"signature entries must be positive: {entries}")
-    return Signature(tuple(sorted(a for a in entries if a >= 2)))
+    sig = object.__new__(Signature)
+    object.__setattr__(sig, "parts", tuple(sorted(a for a in entries if a >= 2)))
+    return sig
 
 
 def as_signature(sig: Signature | Iterable[int]) -> Signature:

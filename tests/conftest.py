@@ -58,29 +58,31 @@ def walk_clique_number(n: int, closed: bool, positions) -> int:
     return total + (run + 1) // 2
 
 
-def co_walk_oracle(adj, block: int):
-    """The walk `arrowing._co_walk` must return, by its definition: when the
-    complement on the vertices of `block` is one path or one cycle, those
-    vertices along it, from the lowest path end or the lowest vertex of a
-    cycle, each step to the lowest unvisited non-neighbour, with True for a
-    cycle; None otherwise.  Built on complement adjacency lists."""
-    verts = [v for v in range(len(adj)) if block >> v & 1]
+def co_walk_oracle(adj, mask: int):
+    """What `arrowing._co_walk` must return, by its definition: the
+    co-component of the lowest vertex of `mask` in the subgraph on `mask`,
+    as (block, walk, closed).  When the complement on the block is one path
+    or one cycle, walk lists its vertices along it, from the lowest path end
+    or the lowest vertex of a cycle, each step to the lowest unvisited
+    non-neighbour, and closed is True for a cycle; otherwise walk is None
+    and closed False.  Built on complement adjacency lists."""
+    verts = [v for v in range(len(adj)) if mask >> v & 1]
     co = {v: [u for u in verts if u != v and not adj[v] >> u & 1] for v in verts}
-    if any(len(us) > 2 for us in co.values()):
-        return None
     reached, stack = {verts[0]}, [verts[0]]
     while stack:
         for u in co[stack.pop()]:
             if u not in reached:
                 reached.add(u)
                 stack.append(u)
-    if len(reached) < len(verts):
-        return None
-    ends = [v for v in verts if len(co[v]) < 2]
-    walk = [ends[0] if ends else verts[0]]
-    while len(walk) < len(verts):
+    block = sorted(reached)
+    bits = sum(1 << v for v in block)
+    if any(len(co[v]) > 2 for v in block):
+        return bits, None, False
+    ends = [v for v in block if len(co[v]) < 2]
+    walk = [ends[0] if ends else block[0]]
+    while len(walk) < len(block):
         walk.append(min(u for u in co[walk[-1]] if u not in walk))
-    return walk, not ends
+    return bits, walk, not ends
 
 
 def scan_adjacency(n: int, adj) -> None:

@@ -199,9 +199,9 @@ def test_the_law_check_searches_the_join_whole(monkeypatch):
     walks, dealt = [], []
     real_walk, real_deal = arrowing._co_walk, arrowing._deal_arcs
 
-    def walk_spy(adj, block):
-        found = real_walk(adj, block)
-        walks.append(found and (len(found[0]), found[1]))
+    def walk_spy(adj, mask):
+        found = real_walk(adj, mask)
+        walks.append(found[1] and (len(found[1]), found[2]))
         return found
 
     def deal_spy(arcs, room, coloring):
@@ -333,7 +333,7 @@ def test_the_walk_clique_check_matches_the_oracle():
     for closed, sizes in ((False, range(2, 11)), (True, range(3, 11))):
         for n in sizes:
             g = _co_walk_graph(n, closed, n)
-            walk, walk_closed = arrowing._co_walk(g.adj, (1 << n) - 1)
+            _, walk, walk_closed = arrowing._co_walk(g.adj, (1 << n) - 1)
             assert walk_closed == closed and sorted(walk) == list(range(n))
             for i in range(n):  # the walk steps along the complement
                 assert not g.has_edge(walk[i], walk[(i + 1) % n]) or (i == n - 1 and not closed)
@@ -347,8 +347,10 @@ def test_the_walk_clique_check_matches_the_oracle():
 
 def test_the_walk_rule_matches_the_general_search(monkeypatch):
     # Relabelled co-P_n and co-C_n, alone and joined with K_k, decided by
-    # the rule and by the general search that `_co_walk` returning None
-    # forces on them.  Only the rule takes no node.
+    # the rule and by the general search that `_co_walk` returning no walk
+    # forces on them.  Only the rule takes no node.  The hook must be asked
+    # once per case, for the walk part, and the general side must search:
+    # a pass that found walks without it would compare the rule with itself.
     rng = random.Random(1616)
     sigs = [s for s in signatures_up_to(3, 16) if s[-1] <= 6]
     cases = []
@@ -359,16 +361,27 @@ def test_the_walk_rule_matches_the_general_search(monkeypatch):
                 h = join(complete(k), g)
                 cases += [(h, parts) for parts in rng.sample(sigs, 6)]
     rule = [find_free_coloring(h, parts) for h, parts in cases]
-    monkeypatch.setattr(arrowing, "_co_walk", lambda adj, block: None)
+    hooked = []
+
+    def no_walk(adj, mask):
+        hooked.append(mask)
+        return graphs._co_component(adj, mask), None, False
+
+    monkeypatch.setattr(arrowing, "_co_walk", no_walk)
     verdicts = set()
+    searched = 0
     for (h, parts), result in zip(cases, rule):
+        hooked.clear()
         general = find_free_coloring(h, parts)
+        assert len(hooked) == 1, (h.n, parts)
         assert result.verdict == general.verdict, (h.n, parts)
         assert result.nodes == 0
+        searched += general.nodes > 0
         verdicts.add(result.verdict)
         if result.verdict == FREE:
             assert graphs._is_free_coloring(h, parts, result.coloring)
     assert verdicts == {ARROWS, FREE}
+    assert searched > len(cases) // 2
 
 
 def test_the_walk_rule_matches_the_naive_oracle():
@@ -447,6 +460,23 @@ def test_walks_dealt_from_one_room_stay_within_it():
             assert omega <= room, (walks, rooms)
 
 
+def test_a_join_of_twelve_walks_on_64_vertices_is_decided_at_no_node():
+    # Ten co-C3 (three vertices with no edge) and two co-C17, joined: 64
+    # vertices and 10 * 2 + 2 * 9 = 38 units, one less for each odd
+    # co-cycle put whole in a class.  Against (3,4,5,6,7,8) the room is 27,
+    # no class has the room of 8 a whole co-C17 needs, and the join arrows;
+    # against (3,4,5,6,7,9) the room is 28, and the ten co-C3 go whole.
+    g = complete(0)
+    for part in [complement(cycle(3))] * 10 + [complement(cycle(17))] * 2:
+        g = join(g, part)
+    assert g.n == 64
+    assert find_free_coloring(g, [3, 4, 5, 6, 7, 8]) == SearchResult(ARROWS, None, 0)
+    result = find_free_coloring(g, [3, 4, 5, 6, 7, 9])
+    assert (result.verdict, result.nodes) == (FREE, 0)
+    assert graphs._is_free_coloring(g, (3, 4, 5, 6, 7, 9), result.coloring)
+    assert all(len(set(result.coloring[i:i + 3])) == 1 for i in range(0, 30, 3))
+
+
 def test_whole_co_cycles_remember_the_rooms_that_failed(monkeypatch):
     # The join of 11 co-C5 on 55 vertices.  Dealt in arcs, each co-C5 costs
     # 3 units; put whole, 2, but a class of room 3 takes at most one whole.
@@ -475,24 +505,70 @@ def test_whole_co_cycles_remember_the_rooms_that_failed(monkeypatch):
 
 def test_the_walk_takes_only_one_path_or_one_cycle():
     star = complement(from_edges(4, [(0, 1), (0, 2), (0, 3)]))  # a vertex of co-degree 3
-    c5c5 = join(cycle(5), cycle(5))  # the law check's whole join: two co-cycles
     m4 = mycielskian(mycielskian(cycle(5)))
-    for g in (star, c5c5, m4):
-        assert arrowing._co_walk(g.adj, (1 << g.n) - 1) is None
-    assert arrowing._co_walk(P4.adj, 15) == ([1, 3, 0, 2], False)  # P4 is co-P4
-    assert arrowing._co_walk(cycle(5).adj, 31) == ([0, 2, 4, 1, 3], True)
+    for g in (star, m4):
+        assert arrowing._co_walk(g.adj, (1 << g.n) - 1) == ((1 << g.n) - 1, None, False)
+    assert arrowing._co_walk(P4.adj, 15) == (15, [1, 3, 0, 2], False)  # P4 is co-P4
+    assert arrowing._co_walk(cycle(5).adj, 31) == (31, [0, 2, 4, 1, 3], True)
+    # The walk takes only the co-component of the mask's lowest vertex, and
+    # only the non-neighbours in the mask: the law check's whole join is two
+    # co-cycles, and the star's centre has co-degree 2 without vertex 3.
+    c5c5 = join(cycle(5), cycle(5))
+    assert arrowing._co_walk(c5c5.adj, 1023) == (31, [0, 2, 4, 1, 3], True)
+    assert arrowing._co_walk(c5c5.adj, 1023 ^ 1) == (30, [2, 4, 1, 3], False)
+    assert arrowing._co_walk(c5c5.adj, 1023 ^ 31) == (992, [5, 7, 9, 6, 8], True)
+    assert arrowing._co_walk(star.adj, 7) == (7, [1, 0, 2], False)
 
 
 def test_the_walk_matches_the_oracle_on_every_small_block():
     found = set()
-    for n in range(2, 6):
+    for n in range(1, 6):
         for g in all_graphs(n):
-            for block in range(3, 1 << n):
-                if block & (block - 1):
-                    walk = arrowing._co_walk(g.adj, block)
-                    assert walk == co_walk_oracle(g.adj, block), (g.edges(), block)
-                    found.add(walk[1] if walk else None)
+            for mask in range(1, 1 << n):
+                block, walk, closed = arrowing._co_walk(g.adj, mask)
+                assert (block, walk, closed) == co_walk_oracle(g.adj, mask), (g.edges(), mask)
+                found.add(walk and closed)
     assert found == {None, False, True}
+
+
+def _assert_the_pass_splits_and_walks(g, mask):
+    """`_co_blocks` on `mask`: the blocks of `graphs._co_components`, in its
+    order, each walked as `conftest.co_walk_oracle` walks it."""
+    blocks = arrowing._co_blocks(g.adj, mask)
+    assert [block for block, _, _ in blocks] == graphs._co_components(g.adj, mask)
+    for block, walk, closed in blocks:
+        assert (block, walk, closed) == co_walk_oracle(g.adj, block), (g.edges(), mask)
+
+
+def test_the_one_pass_matches_the_bfs_and_the_oracle_on_every_small_mask():
+    for n in range(0, 6):
+        for g in all_graphs(n):
+            for mask in range(1 << n):
+                _assert_the_pass_splits_and_walks(g, mask)
+
+
+def test_the_one_pass_matches_the_bfs_and_the_oracle_on_relabelled_joins():
+    # Seeded joins of K_0..K_3 with co-paths, co-cycles and general parts,
+    # their labels shuffled so that no block is a run of labels.
+    rng = random.Random(2626)
+    general = [C13, mycielskian(cycle(5)), complement(from_edges(4, [(0, 1), (0, 2), (0, 3)]))]
+    kinds = set()
+    for _ in range(150):
+        g = complete(rng.randint(0, 3))
+        for _ in range(rng.randint(1, 4)):
+            pick = rng.random()
+            if pick < 0.35:
+                part = _co_walk_graph(rng.randint(2, 9), False, rng.randrange(10**6))
+            elif pick < 0.7:
+                part = _co_walk_graph(rng.randint(3, 9), True, rng.randrange(10**6))
+            else:
+                part = rng.choice(general)
+            g = join(g, part)
+        g = _relabelled(g, rng.randrange(10**6))
+        _assert_the_pass_splits_and_walks(g, (1 << g.n) - 1)
+        kinds.update(walk and (len(walk) > 1, closed)
+                     for _, walk, closed in arrowing._co_blocks(g.adj, (1 << g.n) - 1))
+    assert kinds == {None, (False, False), (True, False), (True, True)}
 
 
 def test_the_walk_matches_the_oracle_near_a_path_or_cycle():
@@ -510,9 +586,9 @@ def test_the_walk_matches_the_oracle_near_a_path_or_cycle():
                 edges = set(g.edges()) ^ {(min(u, v), max(u, v))}
                 variants.append(from_edges(n, sorted(edges)))
             for h in variants:
-                walk = arrowing._co_walk(h.adj, (1 << n) - 1)
-                assert walk == co_walk_oracle(h.adj, (1 << n) - 1), (n, closed)
-                found.add(walk[1] if walk else None)
+                found_walk = arrowing._co_walk(h.adj, (1 << n) - 1)
+                assert found_walk == co_walk_oracle(h.adj, (1 << n) - 1), (n, closed)
+                found.add(found_walk[1] and found_walk[2])
     assert found == {None, False, True}
 
 
@@ -629,7 +705,7 @@ def test_a_zero_share_is_no_coloring_at_no_node(monkeypatch):
     # graph, no co-path or co-cycle, so the walk rule leaves it to a search,
     # and the empty caps go to `_extend`, never to `_color`.
     grotzsch = mycielskian(cycle(5))
-    assert arrowing._co_walk(grotzsch.adj, (1 << grotzsch.n) - 1) is None
+    assert arrowing._co_walk(grotzsch.adj, (1 << grotzsch.n) - 1)[1] is None
     extend, calls = arrowing._extend, []
 
     def spy(rows, caps, pos, masks, budget):

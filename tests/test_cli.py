@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import folkman
-from folkman.cli import main
+from folkman.cli import _FORMATS, main
 from folkman.formats import _CODECS, serialize_edge_list, serialize_graph, serialize_graph6
 from folkman.graphs import complement, complete, cycle, from_edges, join
 from folkman.witnesses import parse_certificate
@@ -153,6 +153,11 @@ def test_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage: folkman" in capsys.readouterr().out
+
+
+def test_the_format_choices_are_the_codec_names():
+    # `cli` writes the names out so that it need not load `formats`.
+    assert list(_FORMATS) == sorted(_CODECS)
 
 
 def test_arrow_stdin_requires_format(capsys):
@@ -383,7 +388,8 @@ def test_importing_the_cli_loads_no_multiprocessing():
     subprocess.run([sys.executable, "-c", code], env=_child_env(), check=True)
 
 
-_BOUND_MODULES = {"folkman.signatures", "folkman.formats", "folkman.graphs", "folkman.bounds"}
+# `bound` and `table` read no graph, so they load neither `formats` nor `graphs`.
+_BOUND_MODULES = {"folkman.signatures", "folkman.bounds"}
 _ARROW_MODULES = {"folkman.signatures", "folkman.formats", "folkman.graphs", "folkman.arrowing"}
 _COMMAND_MODULES = {"bound": _BOUND_MODULES, "table": _BOUND_MODULES, "arrow": _ARROW_MODULES,
                     "witness": _ARROW_MODULES | {"folkman.witnesses"},

@@ -163,13 +163,20 @@ def walk_joins(draw):
 @example((parse_graph6("Puz~vz}~v~^]~~~~~~n~x~~c"), True), [2, 2, 7])
 def test_joins_of_several_walk_parts(case, raw):
     # Walk parts counted as room against the search that `_co_walk`
-    # returning None forces on them.
+    # returning no walk forces on them; every join has a walk part to hook.
     g, walks_only = case
     sig = normalize(raw)
     result = find_free_coloring(g, sig)
+    hooked = []
+
+    def no_walk(adj, mask):
+        hooked.append(mask)
+        return graphs_._co_component(adj, mask), None, False
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(arrowing, "_co_walk", lambda adj, block: None)
+        patch.setattr(arrowing, "_co_walk", no_walk)
         general = find_free_coloring(g, sig)
+    assert hooked
     assert result.verdict == general.verdict
     if walks_only:
         assert result.nodes == 0
@@ -186,7 +193,7 @@ def test_two_odd_co_cycles_fit_only_whole_in_one_class():
     # short, so both co-cycles must go whole, and only the third class, of
     # room 6 >= 3 + 2, can take them.
     g = parse_graph6("Puz~vz}~v~^]~~~~~~n~x~~c")
-    assert [arrowing._co_walk(g.adj, block) is not None
+    assert [arrowing._co_walk(g.adj, block)[1] is not None
             for block in graphs_._co_components(g.adj, (1 << g.n) - 1)] == [True] * 4
     assert find_free_coloring(g, [2, 2, 6]) == SearchResult(ARROWS, None, 0)
     result = find_free_coloring(g, [2, 2, 7])
