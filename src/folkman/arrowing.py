@@ -381,7 +381,7 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
                 nbrs ^= bit
             rows[-1].append(row)
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
-    placed: dict[tuple[int, tuple[int, ...]], tuple[list[int], tuple[int, ...], int] | None] = {}
+    failed: set[tuple[int, tuple[int, ...]]] = set()  # the (j, room) that place found no fit for
 
     def decide(j: int, d: tuple[int, ...]) -> list[int] | None:
         # A cap of 1 keeps its class empty, so only the live colors are
@@ -424,10 +424,8 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
             # No unit is left to place after the last block: its one share is the room.
             masks = decide(j, room)
             return None if masks is None else (masks, (0,) * r, 0)
-        key = (j, room)
-        if key in placed:
-            return placed[key]
-        placed[key] = None
+        if (j, room) in failed:
+            return None
         # Each searched block after this one needs 1, each odd co-cycle t.
         spare = sum(room) - units + len(odd) - (len(big) - 1 - j)
         passed: list[tuple[int, ...]] = []
@@ -440,9 +438,9 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
                     continue
                 rest = place(j + 1, tuple(a - b for a, b in zip(room, d)))
                 if rest is not None:
-                    placed[key] = [m | n for m, n in zip(masks, rest[0])], *rest[1:]
-                    return placed[key]
+                    return [m | n for m, n in zip(masks, rest[0])], *rest[1:]
                 passed.append(d)
+        failed.add((j, room))
         return None
 
     found = place(0, tuple(a - 1 for a in parts))

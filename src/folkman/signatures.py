@@ -9,7 +9,7 @@ and a1 <= ... <= ar.
 from __future__ import annotations
 
 from functools import total_ordering
-from operator import attrgetter
+from operator import attrgetter, index
 from typing import Iterable
 
 
@@ -51,6 +51,15 @@ class _Record:
         return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
+def _integer(a) -> int:
+    """A signature entry as an int, as `operator.index` reads it (a bool
+    included); any other entry is a ValueError that names it."""
+    try:
+        return index(a)
+    except TypeError:
+        raise ValueError(f"signature entries must be integers, got {a!r}") from None
+
+
 @total_ordering
 class Signature(_Record):
     """Normalized list of per-color clique caps.
@@ -63,7 +72,7 @@ class Signature(_Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        if any(a < 2 for a in parts):
+        if any(_integer(a) < 2 for a in parts):
             raise ValueError(f"signature parts must be >= 2 after normalization: {parts}")
         if tuple(sorted(parts)) != parts:
             raise ValueError(f"signature parts must be sorted ascending: {parts}")
@@ -108,10 +117,16 @@ def normalize(raw: Iterable[int]) -> Signature:
     entries = list(raw)
     if not entries:
         raise ValueError("signature must contain at least one entry")
-    if any(a <= 0 for a in entries):
-        raise ValueError(f"signature entries must be positive: {entries}")
+    parts = []
+    for a in entries:
+        a = _integer(a)
+        if a <= 0:
+            raise ValueError(f"signature entries must be positive: {entries}")
+        if a >= 2:
+            parts.append(a)
+    parts.sort()
     sig = object.__new__(Signature)
-    object.__setattr__(sig, "parts", tuple(sorted(a for a in entries if a >= 2)))
+    object.__setattr__(sig, "parts", tuple(parts))
     return sig
 
 

@@ -14,8 +14,7 @@ from typing import Iterable
 
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
-from .graphs import (Graph, _is_free_coloring, clique_number, complement, complete, cycle,
-                     has_clique, join, max_clique)
+from .graphs import Graph, _is_free_coloring, complement, complete, cycle, join, max_clique
 from .signatures import Signature, _Record, as_signature, folkman_exists, merge_at
 
 VERIFIED = "verified"
@@ -54,21 +53,22 @@ class WitnessCertificate(_Record):
 
 
 def _check(graph: Graph, sig: Signature, q: int, construction: str,
-           budget: int | None) -> WitnessCertificate:
-    """Decide the claim graph in H(sig; q): a clique of q vertices refutes it
-    outright, else the engine decides arrowing within budget.  A free
-    coloring is checked before it becomes evidence, so that every REFUTED
-    certificate written here passes `parse_certificate`'s check."""
+           budget: int | None) -> tuple[WitnessCertificate, int]:
+    """Decide the claim graph in H(sig; q), with the clique number it measures:
+    a q-clique refutes it outright, else the engine decides arrowing within
+    budget.  A free coloring is checked before it becomes evidence, so every
+    REFUTED certificate written here passes `parse_certificate`'s check."""
     clique = max_clique(graph)
     if len(clique) >= q:
-        return WitnessCertificate(graph, sig, q, REFUTED, construction, clique=tuple(clique))
+        return WitnessCertificate(graph, sig, q, REFUTED, construction,
+                                  clique=tuple(clique)), len(clique)
     result = find_free_coloring(graph, sig, budget=budget)
     if result.verdict == FREE and not _is_free_coloring(graph, sig.parts, result.coloring):
         raise RuntimeError(f"the engine's free coloring of {construction} against ({sig}) "
                            "has a monochromatic forbidden clique")
     status = {ARROWS: VERIFIED, FREE: REFUTED}.get(result.verdict, UNVERIFIED)
-    return WitnessCertificate(graph, sig, q, status, construction,
-                              free_coloring=result.coloring, nodes=result.nodes)
+    return WitnessCertificate(graph, sig, q, status, construction, free_coloring=result.coloring,
+                              nodes=result.nodes), len(clique)
 
 
 def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
@@ -88,27 +88,26 @@ def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
     m, p = sig.m, sig.p
     if q > m:
-        return _check(complete(m), sig, q, f"complete({m})", None)
+        return _check(complete(m), sig, q, f"complete({m})", None)[0]
     if q < m:
         raise ValueError(f"no base construction known for q={q} < m={m}")
     graph = join(complete(m - p - 1), complement(cycle(2 * p + 1)))
     construction = f"join(complete({m - p - 1}), complement(cycle({2 * p + 1})))"
-    return _check(graph, sig, q, construction, None)
+    return _check(graph, sig, q, construction, None)[0]
 
 
 def _recheck_operand(c: WitnessCertificate) -> int:
-    """Recheck a "verified" operand's claim and return its clique number."""
+    """Decide a "verified" operand's claim again by `_check`; return its clique number."""
     if c.status != VERIFIED:
         raise ValueError(f"can only compose verified certificates, got {c.status}")
+    checked, omega = _check(c.graph, c.signature, c.q, c.construction, DEFAULT_BUDGET)
     claim = f"the certificate for F({c.signature};{c.q}) ({c.construction})"
-    omega = clique_number(c.graph)
-    if omega >= c.q:
+    if checked.clique is not None:
         raise ValueError(f"a {omega}-clique refutes {claim}")
-    result = find_free_coloring(c.graph, c.signature)
-    if result.verdict == FREE:
+    if checked.free_coloring is not None:
         raise ValueError(f"a free coloring refutes {claim}")
-    if result.verdict != ARROWS:
-        raise ValueError(f"{claim} is undecided after {result.nodes} nodes")
+    if checked.status != VERIFIED:
+        raise ValueError(f"{claim} is undecided after {checked.nodes} nodes")
     return omega
 
 
@@ -119,9 +118,9 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
     The signatures must agree everywhere except (possibly) at `position`;
     the join witnesses the signature carrying the sum of the two caps
     there, at clique cap cl(g1) + cl(g2) + 1.  A "verified" status may come
-    from a file, so each operand's claim is rechecked first, once for a
-    self-join: an operand with a clique at its own cap q, or one the engine
-    does not find arrowing its signature within DEFAULT_BUDGET, is rejected.
+    from a file, so each operand's claim is decided again first by `_check`,
+    as `witness` and `verify` decide theirs (once for a self-join): a clique at
+    its own cap q, or no arrowing verdict within DEFAULT_BUDGET, rejects it.
     The join itself rests on the composition law
     (`verify_composition_instance` is its engine check).
     """
@@ -146,7 +145,7 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
     sig = as_signature(sig)
     if not folkman_exists(sig, q):
         raise ValueError(f"F({sig};{q}) does not exist: q must exceed {sig.p}")
-    return _check(read_graph_file(path, fmt), sig, q, f"external file {path}", budget)
+    return _check(read_graph_file(path, fmt), sig, q, f"external file {path}", budget)[0]
 
 
 _CERT_HEADER = "folkman-witness v1"
@@ -226,6 +225,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
     if clique is not None:
         if len(set(clique)) != len(clique) or not all(0 <= v < graph.n for v in clique):
             raise ValueError(f"clique vertices must be distinct and below {graph.n}")
-        if len(clique) < q or not has_clique(graph, clique, len(clique)):
+        # A clique by definition: each listed vertex is adjacent to every other one.
+        members = sum(1 << v for v in clique)
+        if len(clique) < q or any(members & ~graph.adj[v] != 1 << v for v in clique):
             raise ValueError(f"certificate field 'clique' is not a clique of at least {q} vertices")
     return WitnessCertificate(graph, sig, q, status, fields["construction"], free_coloring, clique)

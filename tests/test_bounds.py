@@ -338,6 +338,26 @@ def test_best_bounds_cross_link():
     assert any(r.name == RULE_MONOTONE for r in rec.provenance)
 
 
+def test_best_bounds_takes_a_tighter_subsumed_upper():
+    # A (3,8;9) upper of 21 below the (2,2,8;9) DP's 26 becomes the
+    # (2,2,8;9) upper through the subsumption link.
+    assert best_bounds([2, 2, 8], 9, TABLE).upper == 26
+    table = KnownTable([*bundled_known_values(), *parse_known_values("3,8;9;-;21;local\n")])
+    rec = best_bounds([2, 2, 8], 9, table)
+    assert rec.upper == 21
+    assert rec.provenance[-1].name == RULE_MONOTONE
+    assert rec.provenance[-1].detail.endswith("upper 21")
+
+
+def test_best_bounds_refuses_entries_that_contradict_through_the_dp():
+    # Neither entry meets a direct rule, so the table takes both; the DP's
+    # (2,3,8;9) upper 10 + 10 from the first is below the second's lower 25.
+    table = KnownTable(parse_known_values("2,3,4;5;-;10;a\n2,3,8;9;25;-;b\n"))
+    with pytest.raises(ValueError,
+                       match=re.escape("inconsistent bounds for F(2,3,8;9): lower 25 > upper 20")):
+        best_bounds([2, 3, 8], 9, table)
+
+
 def test_best_bounds_refuses_to_invent_below_boundary():
     rec = best_bounds([2, 3, 4], 5, TABLE)
     assert rec.lower is None and rec.upper is None

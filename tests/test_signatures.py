@@ -1,5 +1,8 @@
 import pytest
 
+from folkman.arrowing import find_free_coloring
+from folkman.bounds import best_bounds
+from folkman.graphs import cycle
 from folkman.signatures import Signature, as_signature, normalize
 
 
@@ -33,6 +36,21 @@ def test_empty_input_rejected():
 def test_nonpositive_entries_rejected(raw):
     with pytest.raises(ValueError):
         normalize(raw)
+
+
+def test_non_integer_entries_rejected():
+    # No Folkman number has a part of 2.5.  Unchecked, such a part gives a
+    # "2.5,3" signature, a "free" coloring of C5 (which arrows (2,2)) with
+    # one class, and a bare TypeError from the bound arithmetic.
+    for call in (lambda: normalize([2.5, 3]), lambda: find_free_coloring(cycle(5), [2.5, 2.5]),
+                 lambda: best_bounds([2.5, 3], 4), lambda: Signature((2, 2.5))):
+        with pytest.raises(ValueError, match="signature entries must be integers, got 2.5"):
+            call()
+    with pytest.raises(ValueError, match="integers, got '3'"):
+        normalize([2, "3"])
+    assert normalize([True, 3, 2]).parts == (2, 3)  # a bool reads as its int, as before
+    with pytest.raises(ValueError, match="must be positive"):
+        normalize([False, 2])
 
 
 def test_m_p_undefined_for_empty():

@@ -9,7 +9,7 @@ from folkman.bounds import (RULE_KNOWN_TABLE, RULE_THEOREM, KnownTable, KnownVal
                             best_bounds, bundled_known_values, composition_bound,
                             default_table)
 from folkman.formats import serialize_edge_list, serialize_graph6
-from folkman.graphs import clique_number, complement, complete, cycle, join
+from folkman.graphs import clique_number, complement, complete, cycle, from_edges, join
 from folkman.signatures import normalize
 from folkman.witnesses import (REFUTED, UNVERIFIED, VERIFIED, WitnessCertificate,
                                base_witness, compose_witness,
@@ -152,8 +152,14 @@ def test_compose_rechecks_each_operand_arrows(monkeypatch):
         with pytest.raises(ValueError, match=pattern):
             compose_witness(c1, c2, 1)
     monkeypatch.setattr(witnesses, "find_free_coloring",
-                        lambda graph, sig: SearchResult(UNDECIDED, None, 7))
+                        lambda graph, sig, budget: SearchResult(UNDECIDED, None, 7))
     with pytest.raises(ValueError, match="F\\(2,2;3\\).* is undecided after 7 nodes"):
+        compose_witness(good, good, 1)
+    # An engine coloring that is not free is a fault of the engine, not
+    # evidence: `_check` refuses it for an operand as for every claim.
+    monkeypatch.setattr(witnesses, "find_free_coloring",
+                        lambda graph, sig, budget: SearchResult(FREE, (0,) * graph.n, 0))
+    with pytest.raises(RuntimeError, match="monochromatic forbidden clique"):
         compose_witness(good, good, 1)
 
 
@@ -163,9 +169,25 @@ def test_compose_rechecks_a_self_join_operand_once(monkeypatch):
     searched = []
     real = witnesses.find_free_coloring
     monkeypatch.setattr(witnesses, "find_free_coloring",
-                        lambda graph, sig: searched.append(graph.n) or real(graph, sig))
+                        lambda graph, sig, budget: searched.append(graph.n)
+                        or real(graph, sig, budget=budget))
     assert compose_witness(c, c, 1) == compose_witness(c, other, 1)
     assert searched == [5, 5, 5]  # once for (c, c), twice for (c, other)
+
+
+def test_compose_decides_each_operand_by_one_claim_check(monkeypatch):
+    # One `_check` per distinct operand, at the default budget: one maximum
+    # clique search and one engine call each, and nothing else.
+    c1, c2 = base_witness([2, 3], 4), base_witness([2, 2], 3)
+    checks, cliques, searches = [], [], []
+    for name, calls in (("_check", checks), ("max_clique", cliques),
+                        ("find_free_coloring", searches)):
+        monkeypatch.setattr(witnesses, name, lambda *args, real=getattr(witnesses, name),
+                            calls=calls, **kw: calls.append(args[0].n) or real(*args, **kw))
+    compose_witness(c1, c1, 1)
+    compose_witness(c1, c2, 1)
+    assert checks == cliques == searches == [c1.vertices, c1.vertices, c2.vertices]
+    assert not hasattr(witnesses, "clique_number") and not hasattr(witnesses, "has_clique")
 
 
 def test_only_find_free_coloring_takes_jobs(tmp_path):
@@ -197,10 +219,9 @@ def test_compose_two_boundary_witnesses():
 def _record_clique_searches(monkeypatch) -> list[int]:
     """Patch the clique searches `witnesses` calls to record each graph's order."""
     orders = []
-    for name in ("max_clique", "clique_number"):
-        real = getattr(witnesses, name)
-        monkeypatch.setattr(witnesses, name,
-                            lambda graph, real=real: orders.append(graph.n) or real(graph))
+    real = witnesses.max_clique
+    monkeypatch.setattr(witnesses, "max_clique",
+                        lambda graph: orders.append(graph.n) or real(graph))
     return orders
 
 
@@ -366,8 +387,8 @@ def test_large_free_coloring_evidence_round_trips(tmp_path, monkeypatch):
     # The whole co-C63 in the class capped at 32 (its clique number is 31),
     # and join(K1, co-C63), the stock (2,2,31) witness, against (2,2,32):
     # the refutations `load_external_witness` writes.  Their classes are
-    # checked by clique number, never by the engine's has_clique search,
-    # which took seconds on them.
+    # checked by clique number, never by the has-clique search
+    # (`graphs._mask_has_clique`), which took seconds on them.
     co_c63 = complement(cycle(63))
     for graph, sig, q in ((co_c63, [2, 32], 33), (join(complete(1), co_c63), [2, 2, 32], 33)):
         path = tmp_path / "w.g6"
@@ -375,7 +396,7 @@ def test_large_free_coloring_evidence_round_trips(tmp_path, monkeypatch):
         cert = load_external_witness(str(path), sig, q)
         assert cert.status == REFUTED and cert.free_coloring is not None
         with monkeypatch.context() as patch:
-            patch.setattr(witnesses, "has_clique", None)
+            patch.setattr(graphs, "_mask_has_clique", None)
             back = parse_certificate(format_certificate(cert))
         assert (back.graph, back.signature, back.q, back.status, back.free_coloring) == (
             cert.graph, cert.signature, cert.q, REFUTED, cert.free_coloring)
@@ -441,6 +462,23 @@ def test_certificate_evidence_needs_status_refuted():
     assert parse_certificate(text.replace(VERIFIED, REFUTED)).status == REFUTED
     with pytest.raises(ValueError, match="'unverified'.*clique"):
         parse_certificate(_c5_certificate("2,2", 3, UNVERIFIED, "clique: 0,1\n"))
+
+
+def test_certificate_clique_evidence_is_checked_by_definition(monkeypatch):
+    # Each listed vertex must be adjacent to every other one; no clique
+    # search runs, so a fault in one cannot pass a forged clique.
+    def no_search(*args):
+        raise AssertionError("a clique search ran")
+    monkeypatch.setattr(graphs, "_mask_has_clique", no_search)
+    monkeypatch.setattr(graphs, "_max_clique_mask", no_search)
+    k5 = serialize_graph6(complete(5))
+    text = (f"folkman-witness v1\ngraph6: {k5}\nsignature: 2,2\nq: 4\nstatus: refuted\n"
+            "construction: by hand\nclique: 4,0,2,1\n")
+    assert parse_certificate(text).clique == (4, 0, 2, 1)
+    missing = text.replace(k5, serialize_graph6(from_edges(
+        5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (1, 4)])))
+    with pytest.raises(ValueError, match="'clique' is not a clique of at least 4 vertices"):
+        parse_certificate(missing)
 
 
 def test_certificate_clique_evidence_needs_q_vertices():
