@@ -33,11 +33,12 @@ units less those saved; if any s odd co-cycles fit whole, the s smallest
 do (`_place_whole`).  `_deal_arcs` writes the rest straight into the
 output coloring, class by class in arcs along each walk.
 
-A searched part is numbered once in smallest-last order (`_vertex_order`),
-with its rows renumbered from each vertex's neighbours; every decision
-works in those positions.  The masks it finds are mapped back to input
-labels and, with those of the odd co-cycles put whole, written into the
-output coloring in one place.
+A join of rule parts alone is placed by that arithmetic (`_place_walks`);
+only one with a searched part builds search state (`_search_blocks`).
+Each such part is numbered once in smallest-last order (`_vertex_order`),
+its rows renumbered from each vertex's neighbours, and decided in those
+positions; its masks, mapped back to input labels, are written into the
+output coloring with those of the odd co-cycles put whole.
 `_extend` colors it vertex by vertex in that order and prunes a branch once
 a class would hold its forbidden clique (`graphs._mask_has_clique`); under
 caps all 2, `_color` asks for a proper coloring with forward checking
@@ -53,6 +54,7 @@ run: a used-up budget raises BudgetExceededError out of the search, and
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _co_component, _join_has_clique, _mask_has_clique, has_clique,
@@ -333,37 +335,24 @@ def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
             yield (x, *tail)
 
 
-def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_Block],
-                   bud: _Budget) -> tuple[int, ...] | None:
-    """A free coloring (vertex -> color) of the join of `blocks`, as
-    `_co_walk` gives them, or None if the join arrows `parts`.
+def _place_walks(units: int, odd: list[tuple[int, int, list[int]]],
+                 room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], int] | None:
+    """(masks of the odd co-cycles put whole, the room left, how many went
+    whole) once the walks' `units` fit in `room`, or None."""
+    short = max(units - sum(room), 0)
+    masks = [0] * len(room)
+    left = _place_whole(odd[:short], room, masks, set()) if short <= len(odd) else None
+    return None if left is None else (masks, left, short)
 
-    The blocks the walk rule decides count as units of room.  Searched block
-    j takes a share d <= room, must be free under caps d + 1, and leaves
-    room - d to the blocks after it.  It only gets freer as d grows, so the
-    last takes only shares that leave at most the units, and an earlier one
-    skips each d above a share it already passed on.  A join without a
-    p-clique needs none of this: the widest class takes every vertex.
-    """
-    r = len(parts)
-    big = []  # the searched blocks
-    folds = []  # the walks of singletons, co-paths and even co-cycles
-    odd = []  # (t, block, walk) of each co-C_{2t+1}
-    units = omega = 0
-    for block, walk, closed in blocks:
-        if walk is None:
-            big.append(block)
-            continue
-        units += (len(walk) + 1) // 2
-        omega += (len(walk) + (not closed)) // 2  # its clique number
-        if closed and len(walk) % 2:
-            odd.append((len(walk) // 2, block, walk))
-        else:
-            folds.append(walk)
-    big.sort(key=int.bit_count)  # the largest block is placed last
-    odd.sort()  # if any s odd co-cycles fit whole, the s smallest do
-    if parts and not _join_has_clique(adj, big, parts[-1] - omega):
-        return (r - 1,) * len(adj)
+
+def _search_blocks(adj: tuple[int, ...], big: list[int], units: int,
+                   odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
+                   bud: _Budget) -> tuple[list[int], tuple[int, ...], int] | None:
+    """`_place_walks` with the searched blocks `big` placed first: block j
+    takes a share d <= room, must be free under caps d + 1, and leaves room - d
+    to the rest.  It only gets freer as d grows, so the last takes only shares
+    that leave at most the units, and an earlier one skips d above one passed."""
+    r = len(room)
     # Searched block j's vertex i is orders[j][i], bit i of its decisions,
     # and at[v] is v's position in its block's order.
     orders = [_vertex_order(adj, block) for block in big]
@@ -413,13 +402,9 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
         return out
 
     def place(j: int, room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], int] | None:
-        """Masks of searched blocks j.. and of the odd co-cycles put whole,
-        the room they leave, and how many went whole; or None."""
+        # As `_place_walks`, with the masks of searched blocks j.. added.
         if j == len(big):
-            short = max(units - sum(room), 0)
-            masks = [0] * r
-            left = _place_whole(odd[:short], room, masks, set()) if short <= len(odd) else None
-            return None if left is None else (masks, left, short)
+            return _place_walks(units, odd, room)
         if j == len(big) - 1 and not units:
             # No unit is left to place after the last block: its one share is the room.
             masks = decide(j, room)
@@ -443,7 +428,43 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
         failed.add((j, room))
         return None
 
-    found = place(0, tuple(a - 1 for a in parts))
+    return place(0, room)
+
+
+def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_Block],
+                   bud: _Budget) -> tuple[int, ...] | None:
+    """A free coloring (vertex -> color) of the join of `blocks`, as
+    `_co_walk` gives them, or None if the join arrows `parts`.
+
+    The walk rule's blocks count as units of room, a singleton as one.  A
+    join without a p-clique needs nothing more: the widest class takes every
+    vertex.  Else a join of walks alone is placed by `_place_walks`; only one
+    with a searched block builds search state, in `_search_blocks`.
+    """
+    big = []  # the searched blocks
+    walks = []  # the walks of co-paths and even co-cycles
+    singles = []  # the walks [v] of singletons
+    odd = []  # (t, block, walk) of each co-C_{2t+1}
+    units = 0
+    for block, walk, closed in blocks:
+        if walk is None:
+            big.append(block)
+        elif len(walk) == 1:
+            singles.append(walk)
+        else:
+            units += (len(walk) + 1) // 2
+            if closed and len(walk) % 2:
+                odd.append((len(walk) // 2, block, walk))
+            else:
+                walks.append(walk)
+    units += len(singles)
+    big.sort(key=int.bit_count)  # the largest block is placed last
+    odd.sort()  # if any s odd co-cycles fit whole, the s smallest do
+    # The walks' clique number is their units less one per odd co-cycle.
+    if parts and not _join_has_clique(adj, big, parts[-1] - units + len(odd)):
+        return (len(parts) - 1,) * len(adj)
+    room = tuple(a - 1 for a in parts)
+    found = _search_blocks(adj, big, units, odd, room, bud) if big else _place_walks(units, odd, room)
     if found is None:
         return None
     masks, left, short = found
@@ -452,8 +473,9 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
         while mask:
             coloring[(mask & -mask).bit_length() - 1] = c
             mask &= mask - 1
-    folds += [walk for _, _, walk in odd[short:]]
-    _deal_arcs(sorted(folds, key=lambda walk: (len(walk) == 1, len(walk))), list(left), coloring)
+    walks += [walk for _, _, walk in odd[short:]]
+    walks.sort(key=len)
+    _deal_arcs(walks + singles, list(left), coloring)
     return tuple(coloring)
 
 
@@ -463,7 +485,7 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
 
     Returns a free coloring if one exists, the "arrows" verdict after the
     pruned search space is exhausted, or "undecided" once `budget` search
-    nodes have been expanded (budget None means unlimited).  A join is
+    nodes have been expanded (a positive integer, or None for unlimited).  A join is
     decided part by part, every part search drawing on the one budget.
 
     `jobs` has no effect: every search runs in this process.  It must be
@@ -479,9 +501,12 @@ def _decide(g: Graph, sig: Signature, blocks: list[_Block],
             budget: int | None) -> SearchResult:
     """Decide g as the join of `blocks`, block by block: a lone block with
     no walk, such as a co-connected graph, is searched whole."""
-    if budget is not None and budget <= 0:
+    try:
+        bud = _Budget(budget if budget is None else index(budget))
+    except TypeError:
+        raise ValueError(f"budget must be an integer or None, got {budget!r}") from None
+    if bud.limit is not None and bud.limit <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
-    bud = _Budget(budget)
     try:
         coloring = _join_coloring(g.adj, sig.parts, blocks, bud)
     except BudgetExceededError:

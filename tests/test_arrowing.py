@@ -1,5 +1,7 @@
+import hashlib
 import multiprocessing
 import random
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -153,6 +155,26 @@ def test_budget_rejected_when_nonpositive():
         find_free_coloring(cycle(5), [2, 2], jobs=0)
 
 
+def test_a_budget_must_be_an_integer():
+    # The search stops when its node count equals the budget, so a budget
+    # it never equals, such as 10.5 for C13 against (3,4) at 632 nodes,
+    # would not stop it: only an integer (or None) is taken.
+    calls = (lambda budget: find_free_coloring(C13, [3, 4], budget=budget),
+             lambda budget: arrows(C13, [3, 4], budget=budget),
+             lambda budget: verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1,
+                                                        budget=budget))
+    for call in calls:
+        for bad in (10.5, 1.5, "10", 1e8):
+            with pytest.raises(ValueError, match=f"^budget must be an integer or None, got {bad!r}$"):
+                call(bad)
+        with pytest.raises(ValueError, match=r"^budget must be positive \(or None for unlimited\)$"):
+            call(False)  # a bool is read as its int
+    assert find_free_coloring(C13, [3, 4], budget=10) == SearchResult(UNDECIDED, None, 10)
+    assert find_free_coloring(C13, [3, 4], budget=True) == SearchResult(UNDECIDED, None, 1)
+    with pytest.raises(BudgetExceededError):
+        verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1, budget=True)
+
+
 def test_budget_exhaustion_is_undecided():
     g = C13
     full = find_free_coloring(g, [3, 4], budget=None)
@@ -285,6 +307,65 @@ def test_the_search_corpus_keeps_its_tree_shape():
             result = find_free_coloring(g, free_parts)
             assert (result.verdict, result.nodes) == (FREE, free_nodes), free_parts
             assert coloring_is_free(g, free_parts, result.coloring)
+
+
+def _search_corpus():
+    """(graph, parts) of the benchmark's `search` instances, in its order:
+    each arrowing instance of SEARCH_CORPUS_NODES, then the same graph with
+    each distinct part raised by one at its last place."""
+    cases = []
+    for parts in SEARCH_CORPUS_NODES:
+        if parts == (2, 2, 2, 2):
+            g = mycielskian(mycielskian(cycle(5)))
+        else:
+            sig = normalize(parts)
+            g = join(complete(sig.m - sig.p - 1), complement(cycle(2 * sig.p + 1)))
+        cases.append((g, parts))
+        for a in sorted(set(parts)):
+            raised = list(parts)
+            raised[len(parts) - 1 - raised[::-1].index(a)] += 1
+            cases.append((g, normalize(raised).parts))
+    return cases
+
+
+# SHA-256 of repr([(verdict, nodes, coloring), ...]) over `_search_corpus()`.
+# A change that moves any verdict, node count or free coloring of the
+# benchmark's search instances moves this, and must say so.
+SEARCH_CORPUS_SHA256 = "b8429c847771bcda38b4e7cba349563c500db1e4f5ce4e4b74addd288dbbf568"
+
+
+def test_the_search_corpus_results_are_pinned():
+    rows = [(r.verdict, r.nodes, r.coloring)
+            for r in (find_free_coloring(g, parts) for g, parts in _search_corpus())]
+    assert len(rows) == 19
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEARCH_CORPUS_SHA256
+
+
+def test_walk_only_joins_build_no_search_state(monkeypatch):
+    # The stock calls of the search corpus and every stock witness with
+    # r <= 3 and m <= 12, against its own signature and each part raised:
+    # the walk rule places them, and no searched-block state is built.
+    def no_search(*args):
+        raise AssertionError("a join of walks built search state")
+
+    for name in ("_search_blocks", "_vertex_order", "_extend", "_color"):
+        monkeypatch.setattr(arrowing, name, no_search)
+    cases = _search_corpus()[:-2]  # all but M4's two, which come last
+    for r in (2, 3):
+        for parts in combinations_with_replacement(range(2, 12), r):
+            sig = normalize(parts)
+            if sig.m <= 12:
+                g = join(complete(sig.m - sig.p - 1), complement(cycle(2 * sig.p + 1)))
+                cases += [(g, parts)] + [(g, (*parts[:i], a + 1, *parts[i + 1:]))
+                                         for i, a in enumerate(parts)
+                                         if i == r - 1 or parts[i + 1] != a]
+    assert len(cases) == 17 + 221
+    for g, parts in cases:
+        result = find_free_coloring(g, parts)
+        sig = normalize(parts)
+        expected = ARROWS if g.n == sig.m + sig.p else FREE
+        assert (result.verdict, result.nodes) == (expected, 0), parts
+        assert expected == ARROWS or graphs._is_free_coloring(g, parts, result.coloring), parts
 
 
 # General parts, which no rule decides: each signature's verdict, "arrows"
