@@ -37,13 +37,14 @@ A join of rule parts alone is placed by that arithmetic (`_place_walks`);
 only one with a searched part builds search state (`_search_blocks`).
 Each such part is numbered once in smallest-last order (`_vertex_order`),
 its rows renumbered from each vertex's neighbours, and decided in those
-positions; its masks, mapped back to input labels, are written into the
-output coloring with those of the odd co-cycles put whole.
-`_extend` colors it vertex by vertex in that order and prunes a branch once
-a class would hold its forbidden clique (`graphs._mask_has_clique`); under
-caps all 2, `_color` asks for a proper coloring with forward checking
-(Haralick & Elliott 1980) and DSATUR's tie (Brelaz 1979).  Both break
-symmetry among colors with equal caps by first use and share one budget.
+positions: `_extend` colors it vertex by vertex in that order and prunes a
+branch once a class would hold its forbidden clique
+(`graphs._mask_has_clique`); under caps all 2, `_color` asks for a proper
+coloring with forward checking (Haralick & Elliott 1980) and DSATUR's tie
+(Brelaz 1979).  Both break symmetry among colors with equal caps by first
+use and share one budget.  Once the rest of the join fits, a part's classes
+are written through its order into the output coloring, as is each odd
+co-cycle put whole along its walk: nothing written is ever taken back.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -54,12 +55,11 @@ run: a used-up budget raises BudgetExceededError out of the search, and
 
 from __future__ import annotations
 
-from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .graphs import (Graph, _co_component, _join_has_clique, _mask_has_clique, has_clique,
                      join)
-from .signatures import Signature, _Record, as_signature, merge_at
+from .signatures import Signature, _Record, _integer, as_signature, merge_at
 
 DEFAULT_BUDGET = 10**8
 
@@ -301,22 +301,23 @@ def _deal_arcs(walks: list[list[int]], room: list[int], coloring: list[int]) -> 
 
 
 def _place_whole(odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
-                 masks: list[int], failed: set[tuple[int, ...]]) -> tuple[int, ...] | None:
+                 coloring: list[int], failed: set[tuple[int, ...]]) -> tuple[int, ...] | None:
     """The room left once each co-C_{2t+1} (t, block, walk) of `odd` is put
-    whole in a class with room at least t, added to that class's mask, or
-    None if they do not fit.  Classes with equal room are interchangeable:
+    whole in a class c with room at least t, coloring[v] = c along its walk,
+    or None if they do not fit.  Classes with equal room are interchangeable:
     `failed` holds (len(odd), *sorted(room)) of each room found too small."""
     if not odd:
         return room
     key = (len(odd), *sorted(room))
     if key in failed:
         return None
-    t, block, _ = odd[0]
+    t, _, walk = odd[0]
     for c, x in enumerate(room):
         if x >= t:
-            left = _place_whole(odd[1:], room[:c] + (x - t,) + room[c + 1:], masks, failed)
+            left = _place_whole(odd[1:], room[:c] + (x - t,) + room[c + 1:], coloring, failed)
             if left is not None:
-                masks[c] |= block
+                for v in walk:
+                    coloring[v] = c
                 return left
     failed.add(key)
     return None
@@ -335,23 +336,23 @@ def _splits(room: tuple[int, ...], total: int) -> Iterator[tuple[int, ...]]:
             yield (x, *tail)
 
 
-def _place_walks(units: int, odd: list[tuple[int, int, list[int]]],
-                 room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], int] | None:
-    """(masks of the odd co-cycles put whole, the room left, how many went
-    whole) once the walks' `units` fit in `room`, or None."""
+def _place_walks(units: int, odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
+                 coloring: list[int]) -> tuple[tuple[int, ...], int] | None:
+    """(the room left, how many odd co-cycles went whole into `coloring`) once
+    the walks' `units` fit in `room`, or None."""
     short = max(units - sum(room), 0)
-    masks = [0] * len(room)
-    left = _place_whole(odd[:short], room, masks, set()) if short <= len(odd) else None
-    return None if left is None else (masks, left, short)
+    left = _place_whole(odd[:short], room, coloring, set()) if short <= len(odd) else None
+    return None if left is None else (left, short)
 
 
 def _search_blocks(adj: tuple[int, ...], big: list[int], units: int,
                    odd: list[tuple[int, int, list[int]]], room: tuple[int, ...],
-                   bud: _Budget) -> tuple[list[int], tuple[int, ...], int] | None:
+                   bud: _Budget, coloring: list[int]) -> tuple[tuple[int, ...], int] | None:
     """`_place_walks` with the searched blocks `big` placed first: block j
     takes a share d <= room, must be free under caps d + 1, and leaves room - d
     to the rest.  It only gets freer as d grows, so the last takes only shares
-    that leave at most the units, and an earlier one skips d above one passed."""
+    that leave at most the units, and an earlier one skips d above one passed.
+    Block j's classes are written into `coloring` once the rest fit."""
     r = len(room)
     # Searched block j's vertex i is orders[j][i], bit i of its decisions,
     # and at[v] is v's position in its block's order.
@@ -372,43 +373,41 @@ def _search_blocks(adj: tuple[int, ...], big: list[int], units: int,
     decided: dict[tuple[int, tuple[int, ...]], list[int] | None] = {}
     failed: set[tuple[int, tuple[int, ...]]] = set()  # the (j, room) that place found no fit for
 
-    def decide(j: int, d: tuple[int, ...]) -> list[int] | None:
+    def decide(j: int, d: tuple[int, ...]) -> tuple[list[int], list[int]] | None:
         # A cap of 1 keeps its class empty, so only the live colors are
         # searched, in ascending cap order: (block, caps) names the decision.
         live = sorted((c for c in range(r) if d[c]), key=d.__getitem__)
         caps = tuple(d[c] + 1 for c in live)
         key = (big[j], caps)
         if key not in decided:
-            order = orders[j]
             masks = [0] * len(caps)
             # Caps ascend, so a last cap of 2 asks for a proper coloring.
             # No caps at all stay with `_extend`: no coloring, at no node.
             if caps and caps[-1] == 2:
-                ok = _color(rows[j], (1 << len(order)) - 1, masks, [0] * len(caps), 0, bud)
+                ok = _color(rows[j], (1 << len(rows[j])) - 1, masks, [0] * len(caps), 0, bud)
             else:
                 ok = _extend(rows[j], caps, 0, masks, bud)
-            for c, mask in enumerate(masks if ok else ()):  # back to input labels
-                label = 0
-                while mask:
-                    label |= 1 << order[(mask & -mask).bit_length() - 1]
-                    mask &= mask - 1
-                masks[c] = label
             decided[key] = masks if ok else None
-        if decided[key] is None:
-            return None
-        out = [0] * r
-        for c, mask in zip(live, decided[key]):
-            out[c] = mask
-        return out
+        return None if decided[key] is None else (live, decided[key])
 
-    def place(j: int, room: tuple[int, ...]) -> tuple[list[int], tuple[int, ...], int] | None:
-        # As `_place_walks`, with the masks of searched blocks j.. added.
+    def write(j: int, live: list[int], masks: list[int]) -> None:
+        # Block j's classes into `coloring`, through its order.
+        for c, mask in zip(live, masks):
+            while mask:
+                coloring[orders[j][(mask & -mask).bit_length() - 1]] = c
+                mask &= mask - 1
+
+    def place(j: int, room: tuple[int, ...]) -> tuple[tuple[int, ...], int] | None:
+        # As `_place_walks`, with searched blocks j.. placed first.
         if j == len(big):
-            return _place_walks(units, odd, room)
+            return _place_walks(units, odd, room, coloring)
         if j == len(big) - 1 and not units:
             # No unit is left to place after the last block: its one share is the room.
-            masks = decide(j, room)
-            return None if masks is None else (masks, (0,) * r, 0)
+            found = decide(j, room)
+            if found is None:
+                return None
+            write(j, *found)
+            return (0,) * r, 0
         if (j, room) in failed:
             return None
         # Each searched block after this one needs 1, each odd co-cycle t.
@@ -418,12 +417,13 @@ def _search_blocks(adj: tuple[int, ...], big: list[int], units: int,
             for d in _splits(room, total):
                 if any(all(x >= y for x, y in zip(d, e)) for e in passed):
                     continue
-                masks = decide(j, d)
-                if masks is None:
+                found = decide(j, d)
+                if found is None:
                     continue
                 rest = place(j + 1, tuple(a - b for a, b in zip(room, d)))
                 if rest is not None:
-                    return [m | n for m, n in zip(masks, rest[0])], *rest[1:]
+                    write(j, *found)  # the blocks after j fit: block j's classes are final
+                    return rest
                 passed.append(d)
         failed.add((j, room))
         return None
@@ -464,15 +464,12 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
     if parts and not _join_has_clique(adj, big, parts[-1] - units + len(odd)):
         return (len(parts) - 1,) * len(adj)
     room = tuple(a - 1 for a in parts)
-    found = _search_blocks(adj, big, units, odd, room, bud) if big else _place_walks(units, odd, room)
+    coloring = [0] * len(adj)
+    found = (_search_blocks(adj, big, units, odd, room, bud, coloring) if big
+             else _place_walks(units, odd, room, coloring))
     if found is None:
         return None
-    masks, left, short = found
-    coloring = [0] * len(adj)
-    for c, mask in enumerate(masks):  # the searched blocks and odd co-cycles put whole
-        while mask:
-            coloring[(mask & -mask).bit_length() - 1] = c
-            mask &= mask - 1
+    left, short = found
     walks += [walk for _, _, walk in odd[short:]]
     walks.sort(key=len)
     _deal_arcs(walks + singles, list(left), coloring)
@@ -492,7 +489,7 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
     >= 1, and it is kept only because the benchmark's `parallel` workload
     passes jobs=2; it goes with that workload (ROADMAP item 3, stage A).
     """
-    if jobs < 1:
+    if _integer(jobs, "jobs must be an integer") < 1:
         raise ValueError("jobs must be >= 1")
     return _decide(g, as_signature(sig), _co_blocks(g.adj, (1 << g.n) - 1), budget)
 
@@ -501,10 +498,9 @@ def _decide(g: Graph, sig: Signature, blocks: list[_Block],
             budget: int | None) -> SearchResult:
     """Decide g as the join of `blocks`, block by block: a lone block with
     no walk, such as a co-connected graph, is searched whole."""
-    try:
-        bud = _Budget(budget if budget is None else index(budget))
-    except TypeError:
-        raise ValueError(f"budget must be an integer or None, got {budget!r}") from None
+    if budget is not None:
+        budget = _integer(budget, "budget must be an integer or None")
+    bud = _Budget(budget)
     if bud.limit is not None and bud.limit <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     try:
@@ -530,6 +526,7 @@ def _arrows(result: SearchResult, budget: int | None) -> bool:
 def in_class_H(g: Graph, sig: Signature | Iterable[int], q: int,
                budget: int | None = DEFAULT_BUDGET) -> bool:
     """Membership in H(a1, ..., ar; q): g arrows the signature and cl(g) < q."""
+    q = _integer(q, "clique cap q must be an integer")
     if q < 1:
         raise ValueError("clique cap q must be >= 1")
     if has_clique(g, range(g.n), q):

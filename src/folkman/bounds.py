@@ -13,7 +13,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .signatures import Signature, _Record, as_signature, folkman_exists, normalize
+from .signatures import Signature, _Record, _integer, as_signature, folkman_exists, normalize
 
 RULE_EXISTS_FAIL = "EXISTS-FAIL"
 RULE_Q_GT_M = "Q-GT-M"
@@ -197,6 +197,7 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
     number does not exist.
     """
     sig = as_signature(sig)
+    q = _integer(q, "clique cap q must be an integer")
     m, p = sig.m, sig.p
     if q <= p:
         return BoundRecord(
@@ -279,6 +280,7 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
     if sig.r < 2:
         raise ValueError(f"composition needs at least two parts, got {sig}")
     ar = sig.parts[-1]
+    q = _integer(q, "clique cap q must be an integer")
     if q != ar + 1:
         raise ValueError(f"composition bound only applies at q = a_r + 1 = {ar + 1}, got q={q}")
     if table is None:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .signatures import _Record
+from .signatures import _Record, _integer
 
 MAX_VERTICES = 64
 
@@ -222,6 +222,7 @@ def has_clique(g: Graph, subset: Iterable[int], k: int) -> bool:
 
     k = 0 is vacuously true; k = 1 asks whether the subset is nonempty.
     """
+    k = _integer(k, "clique size k must be an integer")
     if k < 0:
         raise ValueError("clique size must be nonnegative")
     mask = 0

@@ -51,13 +51,13 @@ class _Record:
         return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
-def _integer(a) -> int:
-    """A signature entry as an int, as `operator.index` reads it (a bool
-    included); any other entry is a ValueError that names it."""
+def _integer(a, must: str) -> int:
+    """A count as an int, as `operator.index` reads it (a bool included);
+    any other value is a ValueError that says what it `must` be and names it."""
     try:
         return index(a)
     except TypeError:
-        raise ValueError(f"signature entries must be integers, got {a!r}") from None
+        raise ValueError(f"{must}, got {a!r}") from None
 
 
 @total_ordering
@@ -72,7 +72,7 @@ class Signature(_Record):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        if any(_integer(a) < 2 for a in parts):
+        if any(_integer(a, "signature entries must be integers") < 2 for a in parts):
             raise ValueError(f"signature parts must be >= 2 after normalization: {parts}")
         if tuple(sorted(parts)) != parts:
             raise ValueError(f"signature parts must be sorted ascending: {parts}")
@@ -119,7 +119,7 @@ def normalize(raw: Iterable[int]) -> Signature:
         raise ValueError("signature must contain at least one entry")
     parts = []
     for a in entries:
-        a = _integer(a)
+        a = _integer(a, "signature entries must be integers")
         if a <= 0:
             raise ValueError(f"signature entries must be positive: {entries}")
         if a >= 2:
@@ -139,7 +139,7 @@ def as_signature(sig: Signature | Iterable[int]) -> Signature:
 
 def folkman_exists(sig: Signature | Iterable[int], q: int) -> bool:
     """F(a1,...,ar;q) exists exactly when q exceeds the largest part."""
-    return q > as_signature(sig).p
+    return _integer(q, "clique cap q must be an integer") > as_signature(sig).p
 
 
 def merge_at(sig1: Signature | Iterable[int], sig2: Signature | Iterable[int],

@@ -175,6 +175,27 @@ def test_a_budget_must_be_an_integer():
         verify_composition_instance(cycle(5), [2, 2], cycle(5), [2, 2], 1, budget=True)
 
 
+def test_jobs_must_not_be_a_fraction():
+    # Compared only with 1, a jobs of 1.5 was taken.
+    with pytest.raises(ValueError, match=r"^jobs must be an integer, got 1\.5$"):
+        find_free_coloring(cycle(5), [2, 2], jobs=1.5)
+    assert find_free_coloring(cycle(5), [2, 2], jobs=True).verdict == ARROWS  # a bool is its int
+
+
+def test_jobs_must_not_be_a_string():
+    # Compared only with 1, a jobs of "2" ended in a bare TypeError.
+    with pytest.raises(ValueError, match="^jobs must be an integer, got '2'$"):
+        find_free_coloring(cycle(5), [2, 2], jobs="2")
+
+
+def test_a_clique_cap_q_must_be_an_integer():
+    # K3 arrows (2,2) and has no 4-clique, but no Folkman number has a clique
+    # cap of 3.5: unchecked, in_class_H answered True.
+    with pytest.raises(ValueError, match=r"^clique cap q must be an integer, got 3\.5$"):
+        in_class_H(complete(3), [2, 2], 3.5)
+    assert in_class_H(complete(3), [2, 2], 4)
+
+
 def test_budget_exhaustion_is_undecided():
     g = C13
     full = find_free_coloring(g, [3, 4], budget=None)
@@ -341,6 +362,67 @@ def test_the_search_corpus_results_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEARCH_CORPUS_SHA256
 
 
+def _searched_joins():
+    """600 seeded joins of two to four parts, relabelled, each with at least
+    one part that no rule decides, against 2 or 3 caps drawn from 2..6.  A
+    part is K_1 or K_2, co-C_3..9, co-P_2..6, C13 or G(4..7, 0.5)."""
+    rng = random.Random(3030)
+    cases = []
+    while len(cases) < 600:
+        g = complete(0)
+        for _ in range(rng.randint(2, 4)):
+            pick = rng.random()
+            if pick < 0.1:
+                part = complete(rng.randint(1, 2))
+            elif pick < 0.35:
+                part = complement(cycle(rng.randint(3, 9)))
+            elif pick < 0.5:
+                n = rng.randint(2, 6)
+                part = complement(from_edges(n, [(i, i + 1) for i in range(n - 1)]))
+            elif pick < 0.6:
+                part = C13
+            else:
+                part = random_graph(rng, rng.randint(4, 7))
+            g = join(g, part)
+        g = _relabelled(g, rng.randrange(10**6))
+        if all(walk for _, walk, _ in arrowing._co_blocks(g.adj, (1 << g.n) - 1)):
+            continue
+        cases.append((g, tuple(sorted(rng.randint(2, 6) for _ in range(rng.randint(2, 3))))))
+    return cases
+
+
+# SHA-256 of repr([(verdict, nodes, coloring), ...]) over `_searched_joins()`
+# at a budget of 20,000 nodes: the placements of searched parts, several at
+# once and beside odd co-cycles put whole, are fixed output.
+SEARCHED_JOINS_SHA256 = "f73190979ed0ea9ebc6e7ae4848ebc601803815043d887297c9aedc1e15cf66f"
+
+
+def test_the_searched_join_results_are_pinned(monkeypatch):
+    # Of the calls, `reached` lists the searched blocks of each that reaches
+    # `_search_blocks`, and `whole` the calls that put an odd co-cycle whole.
+    rows, reached, whole = [], [], set()
+    search_blocks, place_whole = arrowing._search_blocks, arrowing._place_whole
+
+    def searching(adj, big, *args):
+        reached.append(len(big))
+        return search_blocks(adj, big, *args)
+
+    def placing(odd, *args):
+        left = place_whole(odd, *args)
+        if odd and left is not None:
+            whole.add(len(rows))
+        return left
+
+    monkeypatch.setattr(arrowing, "_search_blocks", searching)
+    monkeypatch.setattr(arrowing, "_place_whole", placing)
+    for g, parts in _searched_joins():
+        result = find_free_coloring(g, parts, budget=20_000)
+        assert result.verdict != FREE or graphs._is_free_coloring(g, parts, result.coloring)
+        rows.append((result.verdict, result.nodes, result.coloring))
+    assert (len(reached), sum(n >= 2 for n in reached), len(whole)) == (567, 279, 21)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEARCHED_JOINS_SHA256
+
+
 def test_walk_only_joins_build_no_search_state(monkeypatch):
     # The stock calls of the search corpus and every stock witness with
     # r <= 3 and m <= 12, against its own signature and each part raised:
@@ -482,14 +564,13 @@ def _rule_coloring(n, closed, rooms):
     its walk, or None: dealt in arcs when its ceil(n/2) units fit the rooms,
     else, for an odd co-cycle, put whole in a class with room floor(n/2).
     It starts from -1s, so a vertex the rule leaves out stays -1."""
+    coloring = [-1] * n
     if 2 * sum(rooms) >= n:
-        coloring = [-1] * n
         arrowing._deal_arcs([list(range(n))], list(rooms), coloring)
         return coloring
-    masks = [0] * len(rooms)
-    if closed and n % 2 and arrowing._place_whole([(n // 2, (1 << n) - 1, None)],
-                                                   tuple(rooms), masks, set()) is not None:
-        return [masks.index((1 << n) - 1)] * n
+    if closed and n % 2 and arrowing._place_whole([(n // 2, (1 << n) - 1, list(range(n)))],
+                                                   tuple(rooms), coloring, set()) is not None:
+        return coloring
     return None
 
 
@@ -502,7 +583,10 @@ def test_every_rule_coloring_is_free():
     free = 0
     for n in range(2, 65):
         for closed in (False, True) if n >= 3 else (False,):
-            for caps in rng.sample(sigs, 40):
+            cases = rng.sample(sigs, 40)
+            if closed and n % 2:
+                cases.append((n // 2 + 1,))  # too little room for arcs: it goes whole
+            for caps in cases:
                 rooms = [cap - 1 for cap in caps]
                 coloring = _rule_coloring(n, closed, rooms)
                 expected = 2 * sum(rooms) >= n or closed and 2 * max(rooms) >= n - 1
@@ -572,9 +656,9 @@ def test_whole_co_cycles_remember_the_rooms_that_failed(monkeypatch):
     calls = []
     real = arrowing._place_whole
 
-    def counting(odd, room, masks, failed):
+    def counting(odd, room, coloring, failed):
         calls.append(room)
-        return real(odd, room, masks, failed)
+        return real(odd, room, coloring, failed)
 
     monkeypatch.setattr(arrowing, "_place_whole", counting)
     assert find_free_coloring(g, [4] * 8) == SearchResult(ARROWS, None, 0)

@@ -26,6 +26,17 @@ def test_folkman_exists():
     assert folkman_exists([2, 2], 3)
 
 
+def test_bounds_refuse_a_clique_cap_that_is_not_an_integer():
+    # F(3,4;6.5) does not exist: unchecked, best_bounds gave lower = upper = 6
+    # by "q=6.5 > m=6: exact value m=6".
+    calls = (lambda: best_bounds([3, 4], 6.5), lambda: base_bounds([3, 4], 6.5),
+             lambda: composition_bound([3, 9], 10.0), lambda: folkman_exists([3, 4], 6.5))
+    for call in calls:
+        with pytest.raises(ValueError, match=r"^clique cap q must be an integer, got \d+\.\d$"):
+            call()
+    assert best_bounds([3, 4], True).note == "nonexistent"  # a bool is its int
+
+
 def test_base_bounds_q_above_m():
     rec = base_bounds([3, 4], 7)
     assert rec.exact and rec.lower == 6

@@ -134,6 +134,13 @@ def test_has_clique_examples():
         has_clique(c5, [0], -1)
 
 
+def test_a_clique_size_must_be_an_integer():
+    # C5 has an edge, but no clique has 2.5 vertices: unchecked, the answer was False.
+    with pytest.raises(ValueError, match=r"^clique size k must be an integer, got 2\.5$"):
+        has_clique(cycle(5), range(5), 2.5)
+    assert has_clique(cycle(5), range(5), True)  # a bool is its int
+
+
 def test_has_clique_matches_brute_force():
     rng = random.Random(31337)
     for i in range(400):  # then subsets of joins

@@ -35,6 +35,14 @@ def test_base_witness_22_is_five_cycle():
     assert cert.proves_upper == 5
 
 
+def test_a_witness_refuses_a_clique_cap_that_is_not_an_integer():
+    # Unchecked, base_witness([3, 3], 5.0) was "verified", and its text record
+    # read "q: 5.0", which parse_certificate refuses.
+    with pytest.raises(ValueError, match=r"^clique cap q must be an integer, got 5\.0$"):
+        base_witness([3, 3], 5.0)
+    assert format_certificate(base_witness([3, 3], 5)).count("\nq: 5\n") == 1
+
+
 def test_base_witness_33():
     cert = base_witness([3, 3], 5)
     assert cert.status == VERIFIED
