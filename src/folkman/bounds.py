@@ -263,6 +263,18 @@ def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable) -> tuple[d
     return splits
 
 
+def _composition(parts: tuple[int, ...], table: KnownTable) -> tuple[int, Rule] | None:
+    """The composition DP's best upper for F(parts; a_r+1) with its
+    THEOREM-COMPOSE rule, or None when no split has a known upper."""
+    ar = parts[-1]
+    price, best = _best_splits(parts[:-1], ar, table)
+    if best[ar] is None:
+        return None
+    total, blocks = best[ar]
+    detail = "+".join(str(b) for b in blocks) + ": " + "+".join(str(price[b][0]) for b in blocks)
+    return total, Rule(RULE_THEOREM, detail, tuple(price[b][1] for b in blocks))
+
+
 def composition_bound(sig: Signature | Iterable[int], q: int,
                       table: KnownTable | None = None) -> BoundRecord:
     """Best join-composition upper bound for F(a1,...,ar; a_r+1).
@@ -285,14 +297,11 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
         raise ValueError(f"composition bound only applies at q = a_r + 1 = {ar + 1}, got q={q}")
     if table is None:
         table = default_table()
-    price, best = _best_splits(sig.parts[:-1], ar, table)
-    if best[ar] is None:
+    composed = _composition(sig.parts, table)
+    if composed is None:
         return BoundRecord(sig, q, None, None, (),
                            note="no composition block has a known upper bound")
-    total, blocks = best[ar]
-    detail = "+".join(str(b) for b in blocks) + ": " + "+".join(str(price[b][0]) for b in blocks)
-    return BoundRecord(sig, q, None, total,
-                       (Rule(RULE_THEOREM, detail, tuple(price[b][1] for b in blocks)),))
+    return BoundRecord(sig, q, None, composed[0], (composed[1],))
 
 
 def closed_form_upper_3p(p: int) -> int:
@@ -316,35 +325,40 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
     Intersects the direct rules, the known-values table, the composition
     bound (when q = a_r + 1), and the subsumption link that lets a
     (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
-    provenance lists every contributor.  `table=None` means the shared
-    bundled table; calls that share a table share its composition DP.
+    provenance lists every contributor.  When neither of the last two adds
+    anything, it returns the direct-rule record of `base_bounds` itself,
+    unless a table side must clear that record's "no rule" note.
+    `table=None` means the shared bundled table; calls that share a table
+    share its composition DP.
     """
     sig = as_signature(sig)
     if table is None:
         table = default_table()
     rec = base_bounds(sig, q, table)
-    if q <= sig.p:
+    parts, q = sig.parts, rec.q
+    if q <= parts[-1]:
         return rec
-    lower, upper = rec.lower, rec.upper
-    provenance = list(rec.provenance)
+    upper, provenance = rec.upper, rec.provenance
 
-    if sig.r >= 2 and q == sig.parts[-1] + 1:
-        th = composition_bound(sig, q, table)
-        if th.upper is not None:
-            provenance.extend(th.provenance)
-            if upper is None or th.upper < upper:
-                upper = th.upper
+    if len(parts) >= 2 and q == parts[-1] + 1:
+        composed = _composition(parts, table)
+        if composed is not None:
+            provenance += (composed[1],)
+            if upper is None or composed[0] < upper:
+                upper = composed[0]
 
-    if sig.r == 3 and sig.parts[0] == 2 and sig.parts[1] == 2:
-        partner = normalize([3, sig.parts[2]])
-        partner_rec = best_bounds(partner, q, table)
-        if partner_rec.upper is not None:
-            detail = f"a (2,2,{sig.parts[2]}) witness follows from any (3,{sig.parts[2]}) witness: upper {partner_rec.upper}"
-            provenance.append(Rule(RULE_MONOTONE, detail, partner_rec.provenance))
-            if upper is None or partner_rec.upper < upper:
-                upper = partner_rec.upper
+    if len(parts) == 3 and parts[:2] == (2, 2):
+        partner = best_bounds(normalize([3, parts[2]]), q, table)
+        if partner.upper is not None:
+            detail = f"a (2,2,{parts[2]}) witness follows from any (3,{parts[2]}) witness: upper {partner.upper}"
+            provenance += (Rule(RULE_MONOTONE, detail, partner.provenance),)
+            if upper is None or partner.upper < upper:
+                upper = partner.upper
 
-    return BoundRecord(sig, q, lower, upper, tuple(provenance), rec.note if lower is None and upper is None else "")
+    note = rec.note if rec.lower is None and upper is None else ""
+    if provenance is rec.provenance and note == rec.note:
+        return rec
+    return BoundRecord(sig, q, rec.lower, upper, provenance, note)
 
 
 class RecurrenceReport(_Record):

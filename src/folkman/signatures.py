@@ -94,7 +94,7 @@ class Signature(_Record):
         """1 + sum(ai - 1): K_m arrows this signature, K_{m-1} does not."""
         if self.is_empty:
             raise ValueError("m is undefined for the empty signature")
-        return 1 + sum(a - 1 for a in self.parts)
+        return 1 + sum(self.parts) - len(self.parts)
 
     @property
     def p(self) -> int:
@@ -147,8 +147,9 @@ def merge_at(sig1: Signature | Iterable[int], sig2: Signature | Iterable[int],
     """The signature a join witnesses: the two caps at `position` added.
 
     Both signatures must be of equal length, have a part at `position`, and
-    agree everywhere except (possibly) there.
+    agree everywhere except (possibly) there.  `position` is an integer.
     """
+    position = _integer(position, "position must be an integer")
     sig1, sig2 = as_signature(sig1), as_signature(sig2)
     if sig1.r != sig2.r:
         raise ValueError(f"signatures must be of equal length: {sig1} vs {sig2}")

@@ -15,7 +15,7 @@ from typing import Iterable
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import Graph, _is_free_coloring, complement, complete, cycle, join, max_clique
-from .signatures import Signature, _Record, as_signature, folkman_exists, merge_at
+from .signatures import Signature, _Record, _integer, as_signature, folkman_exists, merge_at
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -122,8 +122,10 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
     as `witness` and `verify` decide theirs (once for a self-join): a clique at
     its own cap q, or no arrowing verdict within DEFAULT_BUDGET, rejects it.
     The join itself rests on the composition law
-    (`verify_composition_instance` is its engine check).
+    (`verify_composition_instance` is its engine check).  `position` is read
+    as an integer before either operand is decided.
     """
+    position = _integer(position, "position must be an integer")
     omega1 = _recheck_operand(c1)
     q = omega1 + (omega1 if c2 is c1 else _recheck_operand(c2)) + 1
     merged = merge_at(c1.signature, c2.signature, position)

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import re
 from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -569,3 +571,79 @@ def test_default_table_is_shared(tmp_path):
     assert default_table() is table
     assert table.combined(sig, 6) == (None, None, [])
     assert best_bounds(sig, 6).upper == 22
+
+
+def _bound_sweep():
+    """Every signature with r <= 3 and m <= 30, at every q from p+1 to m+1:
+    the (parts, q) of the benchmark's bound sweep, in its order."""
+    calls = []
+    for r in (1, 2, 3):
+        for parts in combinations_with_replacement(range(2, 31), r):
+            m = 1 + sum(a - 1 for a in parts)
+            if m <= 30:
+                calls.extend((parts, q) for q in range(parts[-1] + 1, m + 2))
+    return calls
+
+
+# Three rows at p < q < m-1, where only a table gives a side, and two at
+# q = m-1 that reprice a composition block of the (3,p) and (2,2,p) DPs.
+USER_ROWS = "3,3,3;5;9;-;a\n3,5,7;9;20;60;b\n2,4,6;8;-;40;c\n3,5;6;-;21;d\n2,2,5;6;-;21;e\n"
+
+# SHA-256 of repr([record, ...]) over the sweep's `best_bounds` records under
+# the bundled table, under `KnownTable()` and under the bundled table plus
+# USER_ROWS, then the sweep's `composition_bound` records at q = a_r + 1
+# under the bundled table, then `check_recurrences(60)`.  A change that moves
+# any bound, provenance node or note moves this, and must say so.
+BOUND_RECORDS_SHA256 = "8ba8f9aff9e0f2a452cb41e846e532e08c635a459509474ddde7ec9408cc16d4"
+
+
+def test_the_bound_records_are_pinned():
+    calls = _bound_sweep()
+    assert len(calls) == 8554
+    tables = (default_table(), KnownTable(),
+              KnownTable([*bundled_known_values(), *parse_known_values(USER_ROWS)]))
+    rows = [best_bounds(parts, q, table) for table in tables for parts, q in calls]
+    rows += [composition_bound(parts, q, TABLE)
+             for parts, q in calls if len(parts) >= 2 and q == parts[-1] + 1]
+    rows.append(check_recurrences(60))
+    assert len(rows) == 3 * 8554 + 920 + 1
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == BOUND_RECORDS_SHA256
+
+
+def test_a_table_side_clears_the_no_rule_note():
+    # At p < q < m-1 `base_bounds` keeps its "no rule" note beside a table
+    # side; `best_bounds` reports the side alone.
+    table = KnownTable([*bundled_known_values(), *parse_known_values("3,3,3;5;9;-;local\n")])
+    base = base_bounds([3, 3, 3], 5, table)
+    assert (base.lower, base.upper) == (9, None)
+    assert base.note == "no rule for q=5 < m-1=6; supply known values"
+    rec = best_bounds([3, 3, 3], 5, table)
+    assert (rec.lower, rec.upper, rec.note, rec.provenance) == (9, None, "", base.provenance)
+
+
+def test_best_bounds_returns_the_direct_rule_record_when_nothing_else_applies(monkeypatch):
+    # The sweep under the bundled table: no call goes through
+    # `composition_bound`, and every call away from q = a_r + 1 and the
+    # (2,2,p) link returns the very record `base_bounds` built for it.
+    def no_composition(*args):
+        raise AssertionError("best_bounds called composition_bound")
+
+    built = []
+    real = bounds.base_bounds
+
+    def spy(sig, q, table=None):
+        built.append(real(sig, q, table))
+        return built[-1]
+
+    monkeypatch.setattr(bounds, "composition_bound", no_composition)
+    monkeypatch.setattr(bounds, "base_bounds", spy)
+    alone = 0
+    for parts, q in _bound_sweep():
+        built.clear()
+        rec = best_bounds(parts, q, TABLE)
+        composes = len(parts) >= 2 and q == parts[-1] + 1
+        if not composes and not (len(parts) == 3 and parts[:2] == (2, 2)):
+            assert rec is built[0]
+            alone += 1
+    assert alone == 7580
+    assert best_bounds([3, 9], 10, TABLE).provenance[-1].name == RULE_THEOREM

@@ -3,7 +3,7 @@ import pytest
 from folkman.arrowing import find_free_coloring
 from folkman.bounds import best_bounds
 from folkman.graphs import cycle
-from folkman.signatures import Signature, as_signature, normalize
+from folkman.signatures import Signature, as_signature, merge_at, normalize
 
 
 def test_normalize_drops_ones_and_sorts():
@@ -81,3 +81,10 @@ def test_as_signature_accepts_both():
     sig = normalize([2, 3])
     assert as_signature(sig) is sig
     assert as_signature([3, 2]) == sig
+
+
+def test_merge_at_reads_position_as_an_integer():
+    for position in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="position must be an integer"):
+            merge_at([2, 2], [2, 2], position)
+    assert merge_at([2, 2], [2, 3], True) == normalize([2, 5])

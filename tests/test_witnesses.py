@@ -198,6 +198,17 @@ def test_compose_decides_each_operand_by_one_claim_check(monkeypatch):
     assert not hasattr(witnesses, "clique_number") and not hasattr(witnesses, "has_clique")
 
 
+def test_compose_reads_position_before_deciding_an_operand(monkeypatch):
+    c = base_witness([2, 2], 3)
+    assert compose_witness(c, c, True) == compose_witness(c, c, 1)
+    checks = []
+    monkeypatch.setattr(witnesses, "_check", lambda *args: checks.append(args) or None)
+    for position in (1.5, 1.0, "1"):
+        with pytest.raises(ValueError, match="position must be an integer"):
+            compose_witness(c, c, position)
+    assert not checks
+
+
 def test_only_find_free_coloring_takes_jobs(tmp_path):
     path = tmp_path / "c5.g6"
     path.write_text(serialize_graph6(cycle(5)) + "\n")
