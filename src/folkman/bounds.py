@@ -91,7 +91,9 @@ class KnownValue(_Record):
 class KnownTable:
     """Known values, merged to the tightest bounds per (sig, q); built once and
     never changed.  An entry for a number that does not exist, or one that
-    contradicts the direct rules or an earlier entry, is refused here."""
+    contradicts the direct rules of `base_bounds` or an earlier entry, is
+    refused here, and so is one whose lower side crosses an upper that the
+    composition DP or the (2,2,p) link builds from the other entries."""
 
     def __init__(self, entries: Iterable[KnownValue] = ()):
         self._by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
@@ -116,6 +118,19 @@ class KnownTable:
                     continue
                 raise ValueError(f"{where}F({sig};{q}): {clash} of {name}")
             group.append(entry)
+        # Rows may still cross through the composition DP or the (2,2,p) link,
+        # which `best_bounds` alone reads: it is asked once every row is in,
+        # since the DP keeps its prices on the table.  Only a (sig, q) with a
+        # row can cross, by its lower row; a (2,2,p) record reads its (3,p)
+        # partner's, so the partners are asked first.
+        for parts, q in sorted(self._by_key, key=lambda key: key[0][:2] == (2, 2)):
+            try:
+                best_bounds(parts, q, self)
+            except ValueError as exc:
+                row = max((e for e in self._by_key[parts, q] if e.lower is not None),
+                          key=attrgetter("lower"))
+                where = f"{row.source}: " if row.source else ""
+                raise ValueError(f"{where}{exc}") from None
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
@@ -185,16 +200,13 @@ def default_table(extra_path: str | Path | None = None) -> KnownTable:
     return KnownTable([*bundled_known_values(), *load_known_values(extra_path)])
 
 
-def base_bounds(sig: Signature | Iterable[int], q: int,
-                table: KnownTable | None = None) -> BoundRecord:
-    """Bounds from the direct rules, tightened by the known-values table.
+def base_bounds(sig: Signature | Iterable[int], q: int) -> BoundRecord:
+    """Bounds from the direct rules alone: the check every table row is held to.
 
     q > m is exact m; q = m exact m+p; q = m-1 yields [m+p+2, m+3p]; for
-    p < q < m-1 no rule applies and both sides stay open.  Wherever the
-    number exists (q > p), the entries of `table` for (sig, q) then tighten
-    either side and add a KNOWN-TABLE provenance node; `table=None` means
-    no table, the direct rules alone.  For q <= p the record says the
-    number does not exist.
+    p < q < m-1 no rule applies and both sides stay open.  For q <= p the
+    record says the number does not exist.  `best_bounds` adds a table's
+    sides to these records.
     """
     sig = as_signature(sig)
     q = _integer(q, "clique cap q must be an integer")
@@ -204,31 +216,17 @@ def base_bounds(sig: Signature | Iterable[int], q: int,
             sig, q, None, None,
             (Rule(RULE_EXISTS_FAIL, f"q={q} <= max part {p}: F({sig};{q}) does not exist"),),
             note="nonexistent")
-    note = ""
     if q > m:
-        lower = upper = m
-        provenance = (Rule(RULE_Q_GT_M, f"q={q} > m={m}: exact value m={m}"),)
-    elif q == m:
-        lower = upper = m + p
-        provenance = (Rule(RULE_Q_EQ_M, f"q=m={m}: exact value m+p={m + p}"),)
-    elif q == m - 1:
-        lower, upper = m + p + 2, m + 3 * p
-        provenance = (Rule(RULE_LOWER_M1, f"q=m-1: lower m+p+2={m + p + 2}"),
-                      Rule(RULE_UPPER_M3P, f"q=m-1: upper m+3p={m + 3 * p}"))
-    else:
-        lower = upper = None
-        provenance = ()
-        note = f"no rule for q={q} < m-1={m - 1}; supply known values"
-    known_lower, known_upper, citations = (table.combined(sig, q) if table is not None
-                                           else (None, None, []))
-    if known_lower is not None and (lower is None or known_lower > lower):
-        lower = known_lower
-    if known_upper is not None and (upper is None or known_upper < upper):
-        upper = known_upper
-    if known_lower is not None or known_upper is not None:
-        detail = f"table gives [{known_lower}, {known_upper}] ({'; '.join(citations)})"
-        provenance += (Rule(RULE_KNOWN_TABLE, detail),)
-    return BoundRecord(sig, q, lower, upper, provenance, note)
+        return BoundRecord(sig, q, m, m, (Rule(RULE_Q_GT_M, f"q={q} > m={m}: exact value m={m}"),))
+    if q == m:
+        return BoundRecord(sig, q, m + p, m + p,
+                           (Rule(RULE_Q_EQ_M, f"q=m={m}: exact value m+p={m + p}"),))
+    if q == m - 1:
+        return BoundRecord(sig, q, m + p + 2, m + 3 * p,
+                           (Rule(RULE_LOWER_M1, f"q=m-1: lower m+p+2={m + p + 2}"),
+                            Rule(RULE_UPPER_M3P, f"q=m-1: upper m+3p={m + 3 * p}")))
+    return BoundRecord(sig, q, None, None, (),
+                       f"no rule for q={q} < m-1={m - 1}; supply known values")
 
 
 def _best_splits(prefix: tuple[int, ...], ar: int, table: KnownTable) -> tuple[dict, dict]:
@@ -306,6 +304,7 @@ def composition_bound(sig: Signature | Iterable[int], q: int,
 
 def closed_form_upper_3p(p: int) -> int:
     """Closed-form upper for the boundary family with a triangle part."""
+    p = _integer(p, "closed forms require an integer p")
     if p < 4:
         raise ValueError("closed forms require p >= 4")
     return (13 * p + (0, 23, 26, 29)[p % 4]) // 4
@@ -313,6 +312,7 @@ def closed_form_upper_3p(p: int) -> int:
 
 def closed_form_upper_22p(p: int) -> int:
     """Closed-form upper for the boundary family with two edge parts."""
+    p = _integer(p, "closed forms require an integer p")
     if p < 4:
         raise ValueError("closed forms require p >= 4")
     return (13 * p + (0, 23, 10, 21)[p % 4]) // 4
@@ -322,23 +322,32 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
                 table: KnownTable | None = None) -> BoundRecord:
     """Tightest bounds from every applicable source.
 
-    Intersects the direct rules, the known-values table, the composition
-    bound (when q = a_r + 1), and the subsumption link that lets a
-    (2,2,p) upper adopt the (3,p) upper at the same clique cap.  The
-    provenance lists every contributor.  When neither of the last two adds
-    anything, it returns the direct-rule record of `base_bounds` itself,
-    unless a table side must clear that record's "no rule" note.
+    Intersects the direct rules of `base_bounds`, the table's sides for
+    (sig, q), the composition bound (when q = a_r + 1), and the
+    subsumption link that lets a (2,2,p) upper adopt the (3,p) upper at the
+    same clique cap.  The provenance lists every contributor.  When none of
+    the last three adds anything, it returns the record of `base_bounds`
+    itself; otherwise a side is set, and the record has no note.
     `table=None` means the shared bundled table; calls that share a table
     share its composition DP.
     """
     sig = as_signature(sig)
     if table is None:
         table = default_table()
-    rec = base_bounds(sig, q, table)
+    rec = base_bounds(sig, q)
     parts, q = sig.parts, rec.q
     if q <= parts[-1]:
         return rec
-    upper, provenance = rec.upper, rec.provenance
+    lower, upper, provenance = rec.lower, rec.upper, rec.provenance
+
+    known_lower, known_upper, citations = table.combined(sig, q)
+    if citations:
+        detail = f"table gives [{known_lower}, {known_upper}] ({'; '.join(citations)})"
+        provenance += (Rule(RULE_KNOWN_TABLE, detail),)
+        if known_lower is not None and (lower is None or known_lower > lower):
+            lower = known_lower
+        if known_upper is not None and (upper is None or known_upper < upper):
+            upper = known_upper
 
     if len(parts) >= 2 and q == parts[-1] + 1:
         composed = _composition(parts, table)
@@ -355,10 +364,9 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
             if upper is None or partner.upper < upper:
                 upper = partner.upper
 
-    note = rec.note if rec.lower is None and upper is None else ""
-    if provenance is rec.provenance and note == rec.note:
+    if provenance is rec.provenance:
         return rec
-    return BoundRecord(sig, q, rec.lower, upper, provenance, note)
+    return BoundRecord(sig, q, lower, upper, provenance)
 
 
 class RecurrenceReport(_Record):
@@ -383,14 +391,15 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     """Verify the step-4 recurrences and the closed forms against the DP.
 
     For 8 <= p <= p_max the computed uppers must satisfy
-    upper(p) <= upper(p-4) + step in both families, where step is the
-    table's upper for F(3,4;5) or F(2,2,4;5) (13 with the bundled table),
-    and for 4 <= p <= p_max the closed forms must equal the composition DP
-    exactly.  One DP per family prices every p.  The conjectured 13p/4
-    bound is never used as an input; the report only notes where the
-    computed uppers already meet it.  `table=None` means the bundled table
-    alone.
+    upper(p) <= upper(p-4) + step in both families, where step is the DP's
+    price of the 4-block F(3,4;5) or F(2,2,4;5), the lesser of the direct
+    and table uppers (13 with the bundled table), and for 4 <= p <= p_max
+    the closed forms must equal the composition DP exactly.  One DP per
+    family prices every p.  The conjectured 13p/4 bound is never used as an
+    input; the report only notes where the computed uppers already meet it.
+    `table=None` means the bundled table.
     """
+    p_max = _integer(p_max, "p_max must be an integer")
     if p_max < 8:
         raise ValueError("p_max must be at least 8")
     if table is None:
@@ -400,7 +409,7 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
     quarter_holds = []
     families = (("3,p", (3,), closed_form_upper_3p), ("2,2,p", (2, 2), closed_form_upper_22p))
     for name, prefix, closed_form in families:
-        _, best = _best_splits(prefix, p_max, table)
+        price, best = _best_splits(prefix, p_max, table)
         uppers = {p: best[p][0] for p in range(4, p_max + 1) if best[p] is not None}
         for p in range(4, p_max + 1):
             checks += 1
@@ -412,7 +421,7 @@ def check_recurrences(p_max: int, table: KnownTable | None = None) -> Recurrence
                     f"{name}, p={p}: closed form {closed_form(p)} != composition {uppers[p]}")
             if 4 * uppers[p] <= 13 * p:
                 quarter_holds.append((name, p))
-        step = base_bounds(Signature(prefix + (4,)), 5, table).upper
+        step = price[4][0]
         for p in range(8, p_max + 1):
             checks += 1
             if p in uppers and p - 4 in uppers and uppers[p] > uppers[p - 4] + step:

@@ -101,6 +101,7 @@ class Graph(_Record):
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; loops and out-of-range vertices rejected."""
+    n = _integer(n, "vertex count n must be an integer")
     if n < 0 or n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
     adj = [0] * n
@@ -116,6 +117,7 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 def complete(n: int) -> Graph:
     """K_n: every distinct pair adjacent."""
+    n = _integer(n, "vertex count n must be an integer")
     if not 0 <= n <= MAX_VERTICES:  # checked before K_n is built: n may come from outside
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
     full = (1 << n) - 1
@@ -124,6 +126,7 @@ def complete(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """C_n on vertices 0..n-1 with edges {i, i+1 mod n}; requires n >= 3."""
+    n = _integer(n, "vertex count n must be an integer")
     if n < 3:
         raise ValueError(f"cycle needs at least 3 vertices, got {n}")
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])

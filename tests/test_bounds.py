@@ -56,18 +56,23 @@ def test_base_bounds_boundary_rules_only():
 
 
 def test_base_bounds_boundary_with_table():
-    rec = base_bounds([3, 4], 5, TABLE)
+    # `base_bounds` takes no table: a table's sides reach a record through
+    # `best_bounds`, right after the direct rules.
+    rec = best_bounds([3, 4], 5, TABLE)
     assert rec.exact and rec.lower == 13
-    assert any(r.name == RULE_KNOWN_TABLE for r in rec.provenance)
+    assert [r.name for r in rec.provenance] == ["LOWER-M-1", "UPPER-M3P", RULE_KNOWN_TABLE,
+                                                RULE_THEOREM]
+    with pytest.raises(TypeError):
+        base_bounds([3, 4], 5, TABLE)
 
 
 def test_base_bounds_table_applies_at_every_existing_q():
     # q = m for (2,2): a table entry adds provenance but cannot move the
-    # exact rule value.
+    # exact rule value; q = a_r + 1 composes as well.
     table = KnownTable([KnownValue(normalize([2, 2]), 3, 5, 5, "exhaustive search")])
-    rec = base_bounds([2, 2], 3, table)
+    rec = best_bounds([2, 2], 3, table)
     assert (rec.lower, rec.upper) == (5, 5)
-    assert [r.name for r in rec.provenance] == ["Q-EQ-M", RULE_KNOWN_TABLE]
+    assert [r.name for r in rec.provenance] == ["Q-EQ-M", RULE_KNOWN_TABLE, RULE_THEOREM]
     assert rec.provenance[1].detail == "table gives [5, 5] (exhaustive search)"
     assert [r.name for r in base_bounds([2, 2], 3).provenance] == ["Q-EQ-M"]
 
@@ -194,6 +199,22 @@ def test_closed_form_spot_values():
         closed_form_upper_22p(0)
 
 
+def test_the_last_counts_must_be_integers():
+    # Unchecked, each failed inside with a bare TypeError: a float p_max in
+    # `range`, a str one in `<`, and a float p as a tuple index.
+    calls = ((check_recurrences, 8.5, "p_max must be an integer"),
+             (check_recurrences, "9", "p_max must be an integer"),
+             (closed_form_upper_3p, 4.5, "closed forms require an integer p"),
+             (closed_form_upper_22p, 8.0, "closed forms require an integer p"))
+    for call, bad, must in calls:
+        with pytest.raises(ValueError, match=f"^{must}, got {re.escape(repr(bad))}$"):
+            call(bad)
+    with pytest.raises(ValueError, match="^p_max must be at least 8$"):
+        check_recurrences(True)
+    with pytest.raises(ValueError, match="^closed forms require p >= 4$"):
+        closed_form_upper_3p(True)
+
+
 def test_closed_form_integrality():
     for p in range(4, 80):
         assert 4 * closed_form_upper_3p(p) == 13 * p + (0, 23, 26, 29)[p % 4]
@@ -242,20 +263,30 @@ def test_composition_bound_reads_the_bundled_table_by_default():
 
 
 def test_a_sweep_prices_each_block_once(monkeypatch):
-    # The DP prices block v of a prefix through the direct rules alone, as
-    # base_bounds(prefix + (v,), v + 1) with no table.
+    # The DP prices block v of a prefix through the direct rules, as
+    # base_bounds(prefix + (v,), v + 1); only the calls made inside
+    # `_best_splits` count, since `best_bounds` asks the same (sig, q).
     priced = Counter()
-    real = bounds.base_bounds
+    pricing = []
+    real_bounds, real_splits = bounds.base_bounds, bounds._best_splits
 
-    def spy(sig, q, table=None):
-        if table is None:
+    def spy(sig, q):
+        if pricing:
             priced[sig.parts, q] += 1
-        return real(sig, q, table)
+        return real_bounds(sig, q)
+
+    def splits(*args):
+        pricing.append(True)
+        try:
+            return real_splits(*args)
+        finally:
+            pricing.pop()
 
     # A fresh table, built before the spy: the shared one keeps its DP, and
     # building a table checks each entry against the rules.
     table = KnownTable(bundled_known_values())
     monkeypatch.setattr(bounds, "base_bounds", spy)
+    monkeypatch.setattr(bounds, "_best_splits", splits)
     for p in range(2, 41):
         for sig in (normalize([3, p]), normalize([2, 2, p])):
             for q in range(p + 1, sig.m + 2):
@@ -363,12 +394,33 @@ def test_best_bounds_takes_a_tighter_subsumed_upper():
 
 
 def test_best_bounds_refuses_entries_that_contradict_through_the_dp():
-    # Neither entry meets a direct rule, so the table takes both; the DP's
-    # (2,3,8;9) upper 10 + 10 from the first is below the second's lower 25.
-    table = KnownTable(parse_known_values("2,3,4;5;-;10;a\n2,3,8;9;25;-;b\n"))
-    with pytest.raises(ValueError,
-                       match=re.escape("inconsistent bounds for F(2,3,8;9): lower 25 > upper 20")):
-        best_bounds([2, 3, 8], 9, table)
+    # Neither entry meets a direct rule, so each passes the row checks; the
+    # DP's (2,3,8;9) upper 10 + 10 from one is below the other's lower 25.
+    # The built table asks `best_bounds` at each row's (sig, q) and names
+    # the row that set the lower side, in either row order.
+    block, lower = "2,3,4;5;-;10;a\n", "2,3,8;9;25;-;b\n"
+    crossing = "inconsistent bounds for F(2,3,8;9): lower 25 > upper 20"
+    with pytest.raises(ValueError, match="^" + re.escape(f"<string>:2: {crossing}") + "$"):
+        KnownTable(parse_known_values(block + lower))
+    with pytest.raises(ValueError, match="^" + re.escape(f"<string>:1: {crossing}") + "$"):
+        KnownTable(parse_known_values(lower + block))
+
+
+def test_a_table_refuses_entries_that_contradict_through_the_link():
+    # F(3,9;10) <= 30 gives every (2,2,9) witness at q = 10 the upper 30,
+    # below the second row's lower 32.
+    partner, lower = "3,9;10;-;30;a\n", "2,2,9;10;32;-;b\n"
+    crossing = "inconsistent bounds for F(2,2,9;10): lower 32 > upper 30"
+    for text, line in ((partner + lower, 2), (lower + partner, 1)):
+        with pytest.raises(ValueError, match="^" + re.escape(f"<string>:{line}: {crossing}") + "$"):
+            KnownTable(parse_known_values(text))
+    # A (3,p) row crossing through its own DP is named as itself, even
+    # behind an earlier (2,2,p) row whose record reads it through the link.
+    rows = "2,2,8;9;-;30;c\n3,4;5;-;13;d\n3,8;9;27;-;e\n"
+    with pytest.raises(ValueError, match="^" + re.escape(
+            "<string>:3: inconsistent bounds for F(3,8;9): lower 27 > upper 26") + "$"):
+        KnownTable(parse_known_values(rows))
+    assert best_bounds([2, 2, 9], 10, KnownTable(parse_known_values(partner))).upper == 30
 
 
 def test_best_bounds_refuses_to_invent_below_boundary():
@@ -610,15 +662,29 @@ def test_the_bound_records_are_pinned():
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == BOUND_RECORDS_SHA256
 
 
+# SHA-256 of repr([record, ...]) over `base_bounds(parts, q)` at the sweep's
+# (parts, q), then at q = p for each of its signatures in order of first
+# appearance (the EXISTS-FAIL records).  `KnownTable` holds each row to these
+# records and the composition DP prices its blocks by them.
+BASE_RECORDS_SHA256 = "bad3d06269192cae3b025bb948f093451ba9315ce327af3e732ed12794a1823e"
+
+
+def test_the_direct_rule_records_are_pinned():
+    calls = _bound_sweep()
+    calls += [(parts, parts[-1]) for parts in dict.fromkeys(parts for parts, _ in calls)]
+    assert len(calls) == 8554 + 949
+    rows = [base_bounds(parts, q) for parts, q in calls]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == BASE_RECORDS_SHA256
+
+
 def test_a_table_side_clears_the_no_rule_note():
-    # At p < q < m-1 `base_bounds` keeps its "no rule" note beside a table
-    # side; `best_bounds` reports the side alone.
+    # At p < q < m-1 the direct rules note that no rule applies; beside a
+    # table side `best_bounds` reports the side alone.
     table = KnownTable([*bundled_known_values(), *parse_known_values("3,3,3;5;9;-;local\n")])
-    base = base_bounds([3, 3, 3], 5, table)
-    assert (base.lower, base.upper) == (9, None)
-    assert base.note == "no rule for q=5 < m-1=6; supply known values"
+    assert base_bounds([3, 3, 3], 5).note == "no rule for q=5 < m-1=6; supply known values"
     rec = best_bounds([3, 3, 3], 5, table)
-    assert (rec.lower, rec.upper, rec.note, rec.provenance) == (9, None, "", base.provenance)
+    assert (rec.lower, rec.upper, rec.note) == (9, None, "")
+    assert _tree(rec.provenance) == [(RULE_KNOWN_TABLE, "table gives [9, None] (local)", [])]
 
 
 def test_best_bounds_returns_the_direct_rule_record_when_nothing_else_applies(monkeypatch):
@@ -631,8 +697,8 @@ def test_best_bounds_returns_the_direct_rule_record_when_nothing_else_applies(mo
     built = []
     real = bounds.base_bounds
 
-    def spy(sig, q, table=None):
-        built.append(real(sig, q, table))
+    def spy(sig, q):
+        built.append(real(sig, q))
         return built[-1]
 
     monkeypatch.setattr(bounds, "composition_bound", no_composition)

@@ -214,6 +214,18 @@ def test_from_edges_rejects_a_vertex_count_out_of_range(n):
         from_edges(n, [])
 
 
+@pytest.mark.parametrize("build", [complete, cycle, lambda n: from_edges(n, [])])
+def test_a_vertex_count_must_be_an_integer(build):
+    # Unchecked, complete(3.0) failed on `1 << n` and cycle(5.0) on `[0] * n`,
+    # each with a bare TypeError.
+    for bad in (3.0, 5.0, 2.5, "4"):
+        with pytest.raises(ValueError, match=f"^vertex count n must be an integer, got {bad!r}$"):
+            build(bad)
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices, got 1$"):
+        cycle(True)
+    assert complete(True) == from_edges(True, []) == Graph(1, (0,))  # a bool is its int
+
+
 def test_edges_iteration():
     g = from_edges(4, [(0, 1), (2, 3), (0, 3)])
     assert sorted(g.edges()) == [(0, 1), (0, 3), (2, 3)]
