@@ -85,9 +85,10 @@ class SearchResult(_Record):
     __slots__ = ("verdict", "coloring", "nodes")
 
     def __init__(self, verdict: str, coloring: tuple[int, ...] | None, nodes: int):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "coloring", coloring)
-        object.__setattr__(self, "nodes", nodes)
+        set_verdict, set_coloring, set_nodes = self._set
+        set_verdict(self, verdict)
+        set_coloring(self, coloring)
+        set_nodes(self, nodes)
 
 
 def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:

@@ -37,9 +37,10 @@ class Rule(_Record):
     __slots__ = ("name", "detail", "children")
 
     def __init__(self, name: str, detail: str = "", children: tuple[Rule, ...] = ()):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "detail", detail)
-        object.__setattr__(self, "children", children)
+        set_name, set_detail, set_children = self._set
+        set_name(self, name)
+        set_detail(self, detail)
+        set_children(self, children)
 
 
 class BoundRecord(_Record):
@@ -52,12 +53,13 @@ class BoundRecord(_Record):
         if lower is not None and upper is not None and lower > upper:
             raise ValueError(
                 f"inconsistent bounds for F({signature};{q}): lower {lower} > upper {upper}")
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "provenance", provenance)
-        object.__setattr__(self, "note", note)
+        set_signature, set_q, set_lower, set_upper, set_provenance, set_note = self._set
+        set_signature(self, signature)
+        set_q(self, q)
+        set_lower(self, lower)
+        set_upper(self, upper)
+        set_provenance(self, provenance)
+        set_note(self, note)
 
     @property
     def exact(self) -> bool:
@@ -78,12 +80,13 @@ class KnownValue(_Record):
             raise ValueError("known value needs at least one side")
         if lower is not None and upper is not None and lower > upper:
             raise ValueError(f"known value has lower {lower} > upper {upper}")
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "lower", lower)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "citation", citation)
-        object.__setattr__(self, "source", source)
+        set_signature, set_q, set_lower, set_upper, set_citation, set_source = self._set
+        set_signature(self, signature)
+        set_q(self, q)
+        set_lower(self, lower)
+        set_upper(self, upper)
+        set_citation(self, citation)
+        set_source(self, source)
 
     _key = attrgetter("signature", "q", "lower", "upper", "citation")
 
@@ -134,7 +137,9 @@ class KnownTable:
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
-        group = self._by_key.get((sig.parts, q), [])
+        group = self._by_key.get((sig.parts, q))
+        if group is None:
+            return None, None, []
         lower = upper = None
         citations = []
         for e in group:
@@ -376,11 +381,11 @@ class RecurrenceReport(_Record):
 
     def __init__(self, p_max: int, checks: int = 0, violations: tuple[str, ...] = (),
                  conjectured_quarter_bound_holds: tuple[tuple[str, int], ...] = ()):
-        object.__setattr__(self, "p_max", p_max)
-        object.__setattr__(self, "checks", checks)
-        object.__setattr__(self, "violations", violations)
-        object.__setattr__(self, "conjectured_quarter_bound_holds",
-                           conjectured_quarter_bound_holds)
+        set_p_max, set_checks, set_violations, set_conjectured_quarter_bound_holds = self._set
+        set_p_max(self, p_max)
+        set_checks(self, checks)
+        set_violations(self, violations)
+        set_conjectured_quarter_bound_holds(self, conjectured_quarter_bound_holds)
 
     @property
     def ok(self) -> bool:

@@ -55,20 +55,21 @@ class Graph(_Record):
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, adj: tuple[int, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "adj", adj)
-        if self.n < 0 or self.n > MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} outside supported range 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
+        set_n, set_adj = self._set
+        set_n(self, n)
+        set_adj(self, adj)
+        if n < 0 or n > MAX_VERTICES:
+            raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
+        if len(adj) != n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
+        full = (1 << n) - 1
         try:
             matrix = int.from_bytes(b"".join([row.to_bytes(_ROW_BYTES, "little")
-                                              for row in self.adj]), "little")
+                                              for row in adj]), "little")
         except (AttributeError, OverflowError):  # a row that is no int in 0..2**64-1
             matrix = -1
         if matrix < 0 or matrix & (_DIAGONAL | ~(full * _ROW_ONES)):
-            for v, row in enumerate(self.adj):
+            for v, row in enumerate(adj):
                 if row & ~full:
                     raise ValueError(f"adjacency row {v} has bits beyond vertex range")
                 if (row >> v) & 1:
@@ -105,13 +106,22 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 0 or n > MAX_VERTICES:
         raise ValueError(f"vertex count {n} outside supported range 0..{MAX_VERTICES}")
     adj = [0] * n
-    for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
+    u = v = 0
+    try:
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for {n} vertices")
+            if u == v:
+                raise ValueError(f"loop at vertex {u} not allowed in a simple graph")
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    except TypeError:
+        # Every endpoint before this edge indexed `adj`, so the first one that
+        # is no integer is in it.  An edge that did not unpack leaves the last
+        # good pair in (u, v), and its own error stands.
+        _integer(u, "edge endpoints must be integers")
+        _integer(v, "edge endpoints must be integers")
+        raise
     return Graph(n, tuple(adj))
 
 

@@ -16,9 +16,11 @@ from typing import Iterable
 class _Record:
     """Base of the package's immutable records, whose fields are the
     subclass's `__slots__` in order: they compare, hash and print by their
-    fields as frozen dataclasses do.  Each `__init__` sets its fields with one
-    `object.__setattr__` call apiece, as a frozen dataclass does; a shared
-    helper's call and loop showed in the `certify` benchmark's call times.
+    fields as frozen dataclasses do.  Each `__init__` writes its fields
+    through `_set`, the `__set__` of each field's slot descriptor in
+    `__slots__` order, which bypasses `__setattr__` at about half the cost
+    of `object.__setattr__`; a shared helper's call and loop (zip, or map)
+    cost more than it saves.
     """
 
     __slots__ = ()
@@ -28,6 +30,9 @@ class _Record:
         # An attrgetter is no method, so it is called as self._key(record).
         if "_key" not in cls.__dict__:
             cls._key = attrgetter(*cls.__slots__)
+        # getattr, not cls.__dict__: a subclass without `__slots__` finds its
+        # parent's descriptors.
+        cls._set = tuple([getattr(cls, name).__set__ for name in cls.__slots__])
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -76,7 +81,7 @@ class Signature(_Record):
             raise ValueError(f"signature parts must be >= 2 after normalization: {parts}")
         if tuple(sorted(parts)) != parts:
             raise ValueError(f"signature parts must be sorted ascending: {parts}")
-        object.__setattr__(self, "parts", parts)
+        self._set[0](self, parts)
 
     def __lt__(self, other):
         return self.parts < other.parts if other.__class__ is self.__class__ else NotImplemented
@@ -92,16 +97,18 @@ class Signature(_Record):
     @property
     def m(self) -> int:
         """1 + sum(ai - 1): K_m arrows this signature, K_{m-1} does not."""
-        if self.is_empty:
+        parts = self.parts
+        if not parts:
             raise ValueError("m is undefined for the empty signature")
-        return 1 + sum(self.parts) - len(self.parts)
+        return 1 + sum(parts) - len(parts)
 
     @property
     def p(self) -> int:
         """max ai: the clique cap q must exceed this for any witness to exist."""
-        if self.is_empty:
+        parts = self.parts
+        if not parts:
             raise ValueError("p is undefined for the empty signature")
-        return self.parts[-1]
+        return parts[-1]
 
     def __str__(self) -> str:
         return ",".join(str(a) for a in self.parts) if self.parts else "(empty)"
@@ -126,7 +133,7 @@ def normalize(raw: Iterable[int]) -> Signature:
             parts.append(a)
     parts.sort()
     sig = object.__new__(Signature)
-    object.__setattr__(sig, "parts", tuple(parts))
+    Signature._set[0](sig, tuple(parts))
     return sig
 
 

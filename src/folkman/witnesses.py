@@ -34,14 +34,16 @@ class WitnessCertificate(_Record):
     def __init__(self, graph: Graph, signature: Signature, q: int, status: str,
                  construction: str, free_coloring: tuple[int, ...] | None = None,
                  clique: tuple[int, ...] | None = None, nodes: int = 0):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "construction", construction)
-        object.__setattr__(self, "free_coloring", free_coloring)
-        object.__setattr__(self, "clique", clique)
-        object.__setattr__(self, "nodes", nodes)
+        (set_graph, set_signature, set_q, set_status, set_construction, set_free_coloring,
+         set_clique, set_nodes) = self._set
+        set_graph(self, graph)
+        set_signature(self, signature)
+        set_q(self, q)
+        set_status(self, status)
+        set_construction(self, construction)
+        set_free_coloring(self, free_coloring)
+        set_clique(self, clique)
+        set_nodes(self, nodes)
 
     @property
     def vertices(self) -> int:

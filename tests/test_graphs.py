@@ -226,6 +226,26 @@ def test_a_vertex_count_must_be_an_integer(build):
     assert complete(True) == from_edges(True, []) == Graph(1, (0,))  # a bool is its int
 
 
+@pytest.mark.parametrize("edges, bad", [([(0.0, 1)], 0.0), ([("1", 2)], "1"), ([(1, 2.5)], 2.5),
+                                        ([(0, 1), (2, 1.0)], 1.0), ([(0.5, "2")], 0.5)])
+def test_an_edge_endpoint_must_be_an_integer(edges, bad):
+    # Unchecked, these ended in a bare TypeError from indexing, shifting or
+    # comparing the endpoint.
+    with pytest.raises(ValueError, match=f"^edge endpoints must be integers, got {bad!r}$"):
+        from_edges(3, edges)
+    with pytest.raises(ValueError, match=f"^edge endpoints must be integers, got {bad!r}$"):
+        from_edges(3, iter(edges))
+
+
+def test_edge_faults_other_than_a_non_integer_endpoint_keep_their_errors():
+    assert from_edges(3, [(True, 2)]) == from_edges(3, [(1, 2)])  # a bool is its int
+    for edges in ([5], [(0, 1), 5]):
+        with pytest.raises(TypeError, match="^cannot unpack non-iterable int object$"):
+            from_edges(3, edges)
+    with pytest.raises(ValueError, match=r"^edge \(3.0, 1\) out of range for 3 vertices$"):
+        from_edges(3, [(3.0, 1)])
+
+
 def test_edges_iteration():
     g = from_edges(4, [(0, 1), (2, 3), (0, 3)])
     assert sorted(g.edges()) == [(0, 1), (0, 3), (2, 3)]

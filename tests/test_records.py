@@ -2,11 +2,14 @@
 hashing, `repr`, ordering of signatures, immutability, and `pickle`/`copy`
 round trips."""
 
+import ast
 import copy
 import pickle
+from pathlib import Path
 
 import pytest
 
+import folkman
 from folkman.arrowing import FREE, SearchResult
 from folkman.bounds import BoundRecord, KnownValue, RecurrenceReport, Rule
 from folkman.graphs import Graph, cycle
@@ -102,3 +105,33 @@ def test_records_survive_pickle_and_copy(record):
         assert type(clone) is type(record)
         assert clone == record
         assert repr(clone) == repr(record)
+
+
+@pytest.mark.parametrize("record", [case[0] for case in FROZEN], ids=IDS)
+def test_a_plain_subclass_builds_compares_and_stays_frozen(record):
+    cls = type(record)
+    sub = type(f"Sub{cls.__name__}", (cls,), {})
+    fields = record.__reduce__()[1]
+    a, b = sub(*fields), sub(*fields)
+    assert a == b and hash(a) == hash(b) and a != record
+    assert a.__reduce__() == (sub, fields)
+    assert repr(a) == f"Sub{repr(record)}"
+    field = cls.__slots__[0]
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}' of a {sub.__name__}$"):
+        setattr(a, field, getattr(a, field))
+    with pytest.raises(AttributeError, match=f"^cannot assign to field 'extra' of a {sub.__name__}$"):
+        a.extra = 1
+    with pytest.raises(AttributeError, match=f"^cannot delete field '{field}' of a {sub.__name__}$"):
+        delattr(a, field)
+    assert a.__reduce__() == (sub, fields)
+
+
+def test_no_package_code_calls_object_setattr():
+    # Records write their fields through their slot descriptors (`_Record._set`).
+    calls = []
+    for path in sorted(Path(folkman.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
