@@ -7,13 +7,14 @@ cited values that produced each side.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
-from .signatures import Signature, _Record, _integer, as_signature, folkman_exists, normalize
+from .signatures import (Signature, _Record, _field_integer, _integer, as_signature,
+                         folkman_exists, normalize)
 
 RULE_EXISTS_FAIL = "EXISTS-FAIL"
 RULE_Q_GT_M = "Q-GT-M"
@@ -156,9 +157,11 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
 
     Each line is ``a1,a2,...;q;lower|-;upper|-;citation`` with ``#`` comments.
     A line that does not parse, or whose own sides are missing or inverted,
-    is rejected with its source and line.  Every entry carries that
-    ``source:line``, so `KnownTable` names it when it refuses the entry.
+    is rejected with its source and line; a field that is no integer is
+    also named.  Every entry carries that ``source:line``, so `KnownTable`
+    names it when it refuses the entry.
     """
+    number = partial(_field_integer, "table")
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -169,10 +172,10 @@ def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:
             raise ValueError(f"{source}:{lineno}: expected 5 ';'-separated fields, got {len(fields)}")
         parts_text, q_text, lower_text, upper_text, citation = fields
         try:
-            sig = normalize(int(t) for t in parts_text.split(","))
-            q = int(q_text)
-            lower = None if lower_text.strip() == "-" else int(lower_text)
-            upper = None if upper_text.strip() == "-" else int(upper_text)
+            sig = normalize(number("signature", t) for t in parts_text.split(","))
+            q = number("q", q_text)
+            lower = None if lower_text.strip() == "-" else number("lower", lower_text)
+            upper = None if upper_text.strip() == "-" else number("upper", upper_text)
             out.append(KnownValue(sig, q, lower, upper, citation.strip(), f"{source}:{lineno}"))
         except ValueError as exc:
             raise ValueError(f"{source}:{lineno}: {exc}") from None
@@ -341,8 +344,6 @@ def best_bounds(sig: Signature | Iterable[int], q: int,
         table = default_table()
     rec = base_bounds(sig, q)
     parts, q = sig.parts, rec.q
-    if q <= parts[-1]:
-        return rec
     lower, upper, provenance = rec.lower, rec.upper, rec.provenance
 
     known_lower, known_upper, citations = table.combined(sig, q)

@@ -211,54 +211,39 @@ def _cmd_verify(args) -> int:
     return _emit_certificate(args, "verify", cert, time.perf_counter() - started)
 
 
+# Every flag once, and one row per command: name, handler, help, flags in --help order.
+_FLAGS = {
+    "--graph": dict(required=True, help="graph file (.g6 or .el), or - for stdin"),
+    "--sig": dict(required=True, help="comma-separated signature, e.g. 2,2"),
+    "--q": dict(required=True, type=int),
+    "--budget": dict(type=int, help="search-node budget (0 = unlimited; default 1e8)"),
+    "--format": dict(choices=_FORMATS, help="override the format inferred from the extension"),
+    "--table": dict(help="extra known-values file, added to the bundled table"),
+    "--kind": dict(required=True, choices=["cor1", "cor2", "both"]),
+    "--p": dict(required=True, help="p value or range, e.g. 8 or 4..12"),
+    "--out": dict(help="write the certificate record to this file"),
+    "--json": dict(action="store_true", help="emit a JSON record on stdout"),
+}
+_COMMANDS = (
+    ("arrow", _cmd_arrow, "decide whether a graph arrows a signature",
+     ("--graph", "--sig", "--budget", "--format")),
+    ("bound", _cmd_bound, "best known bounds for F(sig; q)", ("--sig", "--q", "--table")),
+    ("table", _cmd_table, "closed-form upper-bound tables", ("--kind", "--p")),
+    ("witness", _cmd_witness, "construct and check a stock witness", ("--sig", "--q", "--out")),
+    ("verify", _cmd_verify, "check an externally supplied witness graph",
+     ("--graph", "--sig", "--q", "--budget", "--format")),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="folkman",
-        description="Vertex Folkman numbers: arrowing decisions, bounds, witness certificates.")
+    parser = _Parser(prog="folkman", description=(
+        "Vertex Folkman numbers: arrowing decisions, bounds, witness certificates."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--json", action="store_true", help="emit a JSON record on stdout")
-
-    p_arrow = sub.add_parser("arrow", help="decide whether a graph arrows a signature")
-    p_arrow.add_argument("--graph", required=True, help="graph file (.g6 or .el), or - for stdin")
-    p_arrow.add_argument("--sig", required=True, help="comma-separated signature, e.g. 2,2")
-    p_arrow.add_argument("--budget", type=int, help="search-node budget (0 = unlimited; default 1e8)")
-    p_arrow.add_argument("--format", choices=_FORMATS,
-                         help="override the format inferred from the extension")
-    add_common(p_arrow)
-    p_arrow.set_defaults(handler=_cmd_arrow)
-
-    p_bound = sub.add_parser("bound", help="best known bounds for F(sig; q)")
-    p_bound.add_argument("--sig", required=True)
-    p_bound.add_argument("--q", type=int, required=True)
-    p_bound.add_argument("--table", help="extra known-values file, added to the bundled table")
-    add_common(p_bound)
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_table = sub.add_parser("table", help="closed-form upper-bound tables")
-    p_table.add_argument("--kind", choices=["cor1", "cor2", "both"], required=True)
-    p_table.add_argument("--p", required=True, help="p value or range, e.g. 8 or 4..12")
-    add_common(p_table)
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_witness = sub.add_parser("witness", help="construct and check a stock witness")
-    p_witness.add_argument("--sig", required=True)
-    p_witness.add_argument("--q", type=int, required=True)
-    p_witness.add_argument("--out", help="write the certificate record to this file")
-    add_common(p_witness)
-    p_witness.set_defaults(handler=_cmd_witness)
-
-    p_verify = sub.add_parser("verify", help="check an externally supplied witness graph")
-    p_verify.add_argument("--graph", required=True, help="graph file (.g6 or .el), or - for stdin")
-    p_verify.add_argument("--sig", required=True)
-    p_verify.add_argument("--q", type=int, required=True)
-    p_verify.add_argument("--budget", type=int, help="search-node budget (0 = unlimited; default 1e8)")
-    p_verify.add_argument("--format", choices=_FORMATS,
-                          help="override the format inferred from the extension")
-    add_common(p_verify)
-    p_verify.set_defaults(handler=_cmd_verify)
-
+    for name, handler, text, flags in _COMMANDS:
+        command = sub.add_parser(name, help=text)
+        for flag in (*flags, "--json"):
+            command.add_argument(flag, **_FLAGS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 

@@ -12,6 +12,7 @@ into co-components (the components of the complement), by a BFS `arrowing` share
 
 from __future__ import annotations
 
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .signatures import _Record, _integer
@@ -50,11 +51,18 @@ def _transpose(matrix: int) -> int:
 
 
 class Graph(_Record):
-    """Finite simple graph: vertex count plus one neighbor bitset per vertex."""
+    """Finite simple graph: vertex count plus one neighbor bitset per vertex.
+
+    `n` and each row are integers, read as `operator.index` reads them (a
+    bool counts as 0 or 1); any other value is a ValueError that names it.
+    The rows are kept as a tuple, so a caller's list is copied, not shared.
+    """
 
     __slots__ = ("n", "adj")
 
-    def __init__(self, n: int, adj: tuple[int, ...]):
+    def __init__(self, n: int, adj: Iterable[int]):
+        n = _integer(n, "vertex count n must be an integer")
+        adj = tuple(adj)  # no copy when it already is one
         set_n, set_adj = self._set
         set_n(self, n)
         set_adj(self, adj)
@@ -70,10 +78,15 @@ class Graph(_Record):
             matrix = -1
         if matrix < 0 or matrix & (_DIAGONAL | ~(full * _ROW_ONES)):
             for v, row in enumerate(adj):
+                row = _integer(row, f"adjacency row {v} must be an integer")
                 if row & ~full:
                     raise ValueError(f"adjacency row {v} has bits beyond vertex range")
                 if (row >> v) & 1:
                     raise ValueError(f"vertex {v} is self-adjacent")
+            # No row is at fault, so one that is no int but reads as one (by
+            # __index__) stopped the packing: the graph is built from the ints.
+            Graph.__init__(self, n, tuple(map(index, adj)))
+            return
         # The lowest bit set in the matrix but not in its transpose is the
         # first pair (v, u) in row order with u in row v but v not in row u.
         asym = matrix & ~_transpose(matrix)

@@ -65,6 +65,15 @@ def _integer(a, must: str) -> int:
         raise ValueError(f"{must}, got {a!r}") from None
 
 
+def _field_integer(kind: str, key: str, value: str) -> int:
+    """A text field of a `kind` of record read by `int`; any other text is a
+    ValueError that names the field by its `key`."""
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{kind} field {key!r} expects integers, got {value!r}") from None
+
+
 @total_ordering
 class Signature(_Record):
     """Normalized list of per-color clique caps.

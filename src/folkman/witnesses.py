@@ -10,12 +10,14 @@ Refutations carry concrete evidence.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Iterable
 
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import Graph, _is_free_coloring, complement, complete, cycle, join, max_clique
-from .signatures import Signature, _Record, _integer, as_signature, folkman_exists, merge_at
+from .signatures import (Signature, _Record, _field_integer, _integer, as_signature,
+                         folkman_exists, merge_at)
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -184,11 +186,7 @@ def format_certificate(cert: WitnessCertificate) -> str:
 
 
 def parse_certificate(text: str) -> WitnessCertificate:
-    def number(key: str, value: str) -> int:
-        try:
-            return int(value)
-        except ValueError:
-            raise ValueError(f"certificate field {key!r} expects integers, got {value!r}") from None
+    number = partial(_field_integer, "certificate")
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != _CERT_HEADER:
         raise ValueError(f"certificate must start with {_CERT_HEADER!r}")

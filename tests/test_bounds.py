@@ -503,6 +503,17 @@ def test_parse_known_values_errors_carry_line_numbers():
         KnownTable(parse_known_values("3,4;5;-;11;below the q = m-1 lower bound 12\n"))
 
 
+@pytest.mark.parametrize("row, field, bad", [("3,x;5;13;13;c", "signature", "x"),
+                                            ("3,4;x;13;13;c", "q", "x"),
+                                            ("3,4;5;1.5;13;c", "lower", "1.5"),
+                                            ("3,4;5;13; ;c", "upper", " ")])
+def test_a_table_field_that_is_no_integer_is_named(row, field, bad):
+    # Unchecked, each said only "invalid literal for int() with base 10".
+    with pytest.raises(ValueError, match=re.escape(
+            f"t.txt:2: table field {field!r} expects integers, got {bad!r}") + "$"):
+        parse_known_values("3,4;5;13;13;ok\n" + row, "t.txt")
+
+
 def test_contradicting_table_entries_are_rejected_when_added(tmp_path):
     # Each line passes the rules alone; together they leave no value.
     text = "2,2,6;7;20;-;first\n2,2,6;7;-;18;second\n"
@@ -685,6 +696,29 @@ def test_a_table_side_clears_the_no_rule_note():
     rec = best_bounds([3, 3, 3], 5, table)
     assert (rec.lower, rec.upper, rec.note) == (9, None, "")
     assert _tree(rec.provenance) == [(RULE_KNOWN_TABLE, "table gives [9, None] (local)", [])]
+
+
+def test_below_the_max_part_best_bounds_is_the_direct_rule_record(monkeypatch):
+    # At q <= p no table row, composition or (2,2,p) partner adds a side, so
+    # every sweep signature gets the EXISTS-FAIL record `base_bounds` built.
+    built = []
+    real = bounds.base_bounds
+
+    def spy(sig, q):
+        built.append(real(sig, q))
+        return built[-1]
+
+    monkeypatch.setattr(bounds, "base_bounds", spy)
+    tables = (TABLE, KnownTable(),
+              KnownTable([*bundled_known_values(), *parse_known_values(USER_ROWS)]))
+    signatures = dict.fromkeys(parts for parts, _ in _bound_sweep())
+    assert len(signatures) == 949
+    for table in tables:
+        for parts in signatures:
+            for q in range(1, parts[-1] + 1):
+                built.clear()
+                rec = best_bounds(parts, q, table)
+                assert rec is built[0] and rec.note == "nonexistent"
 
 
 def test_best_bounds_returns_the_direct_rule_record_when_nothing_else_applies(monkeypatch):

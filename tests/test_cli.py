@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import folkman
-from folkman.cli import _FORMATS, main
+from folkman import cli
+from folkman.cli import _FORMATS, build_parser, main
 from folkman.formats import _CODECS, serialize_edge_list, serialize_graph, serialize_graph6
 from folkman.graphs import complement, complete, cycle, from_edges, join
 from folkman.witnesses import parse_certificate
@@ -153,6 +154,36 @@ def test_help_exits_zero(capsys):
             main(argv)
         assert exc.value.code == 0
         assert "usage: folkman" in capsys.readouterr().out
+
+
+_FORMAT = ("--format", False, None, _FORMATS, None)
+_JSON = ("--json", False, None, None, 0)  # nargs 0: a switch that takes no value
+
+# Each command's flags in --help order: (option strings, required, type,
+# choices, nargs).
+_COMMAND_FLAGS = {
+    "arrow": [("--graph", True, None, None, None), ("--sig", True, None, None, None),
+              ("--budget", False, int, None, None), _FORMAT, _JSON],
+    "bound": [("--sig", True, None, None, None), ("--q", True, int, None, None),
+              ("--table", False, None, None, None), _JSON],
+    "table": [("--kind", True, None, ["cor1", "cor2", "both"], None),
+              ("--p", True, None, None, None), _JSON],
+    "witness": [("--sig", True, None, None, None), ("--q", True, int, None, None),
+                ("--out", False, None, None, None), _JSON],
+    "verify": [("--graph", True, None, None, None), ("--sig", True, None, None, None),
+               ("--q", True, int, None, None), ("--budget", False, int, None, None),
+               _FORMAT, _JSON],
+}
+
+
+def test_each_command_takes_exactly_its_flags():
+    commands = build_parser()._subparsers._group_actions[0].choices
+    assert list(commands) == list(_COMMAND_FLAGS)
+    for name, parser in commands.items():
+        flags = [(*a.option_strings, a.required, a.type, a.choices, a.nargs)
+                 for a in parser._actions if a.dest != "help"]
+        assert flags == _COMMAND_FLAGS[name], name
+        assert parser.get_default("handler") is getattr(cli, f"_cmd_{name}")
 
 
 def test_the_format_choices_are_the_codec_names():

@@ -4,6 +4,7 @@ from itertools import combinations, product
 import pytest
 
 from folkman import graphs
+from folkman.arrowing import ARROWS, find_free_coloring
 from folkman.graphs import (MAX_VERTICES, Graph, clique_number, complement,
                             complete, cycle, from_edges, has_clique, join,
                             max_clique)
@@ -206,6 +207,58 @@ def test_graph_validation():
         from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         from_edges(3, [(1, 1)])
+
+
+def test_a_graph_keeps_its_own_rows():
+    # Kept as given, a list left the graph unhashable, and a later write to
+    # it turned the checked rows into asymmetric ones.
+    rows = [0b10, 0b01]
+    g = Graph(2, rows)
+    assert g == Graph(2, (0b10, 0b01)) and hash(g) == hash(Graph(2, (0b10, 0b01)))
+    assert type(g.adj) is tuple
+    rows[0] = 0
+    assert g.adj == (0b10, 0b01)
+    assert find_free_coloring(g, [2]).verdict == ARROWS  # K2 holds an edge
+    adj = (0b10, 0b01)
+    assert Graph(2, adj).adj is adj  # a tuple is kept as it is
+
+
+@pytest.mark.parametrize("bad", [2.0, 2.5, "2", None])
+def test_a_graph_vertex_count_and_rows_must_be_integers(bad):
+    # Unchecked, these ended in a bare TypeError from `1 << n` or `row & mask`.
+    with pytest.raises(ValueError, match=f"^vertex count n must be an integer, got {bad!r}$"):
+        Graph(bad, (0b10, 0b01))
+    with pytest.raises(ValueError, match=f"^adjacency row 0 must be an integer, got {bad!r}$"):
+        Graph(2, (bad, 0b01))
+    with pytest.raises(ValueError, match=f"^adjacency row 1 must be an integer, got {bad!r}$"):
+        Graph(2, (0b10, bad))
+
+
+def test_graph_faults_other_than_a_non_integer_keep_their_errors():
+    assert Graph(True, (0,)) == Graph(1, (0,)) and Graph(2, (2, True)) == Graph(2, (2, 1))
+    faults = {(3, (0, 0)): "^adjacency length does not match vertex count$",
+              (65, (0,) * 65): "^vertex count 65 outside supported range 0..64$",
+              (2, (0b10, -1)): "^adjacency row 1 has bits beyond vertex range$",
+              (2, (0b100, 0)): "^adjacency row 0 has bits beyond vertex range$",
+              (2, (0b11, 0b01)): "^vertex 0 is self-adjacent$",
+              (2, (0b10, 0)): r"^adjacency not symmetric at \(0, 1\)$"}
+    for (n, adj), message in faults.items():
+        with pytest.raises(ValueError, match=message):
+            Graph(n, adj)
+
+
+def test_a_row_read_by_index_is_checked_as_its_int():
+    class Row:
+        def __init__(self, value):
+            self.value = value
+
+        def __index__(self):
+            return self.value
+
+    assert Graph(2, (Row(0b10), Row(0b01))) == Graph(2, (0b10, 0b01))
+    assert type(Graph(2, (Row(0b10), 0b01)).adj[0]) is int
+    with pytest.raises(ValueError, match=r"^adjacency not symmetric at \(0, 1\)$"):
+        Graph(2, (Row(0b10), Row(0)))
 
 
 @pytest.mark.parametrize("n", [MAX_VERTICES + 1, -1])
