@@ -423,15 +423,9 @@ def test_the_searched_join_results_are_pinned(monkeypatch):
     assert hashlib.sha256(repr(rows).encode()).hexdigest() == SEARCHED_JOINS_SHA256
 
 
-def test_walk_only_joins_build_no_search_state(monkeypatch):
-    # The stock calls of the search corpus and every stock witness with
-    # r <= 3 and m <= 12, against its own signature and each part raised:
-    # the walk rule places them, and no searched-block state is built.
-    def no_search(*args):
-        raise AssertionError("a join of walks built search state")
-
-    for name in ("_search_blocks", "_vertex_order", "_extend", "_color"):
-        monkeypatch.setattr(arrowing, name, no_search)
+def _walk_only_cases():
+    """The stock calls of the search corpus and every stock witness with
+    r <= 3 and m <= 12, against its own signature and each part raised."""
     cases = _search_corpus()[:-2]  # all but M4's two, which come last
     for r in (2, 3):
         for parts in combinations_with_replacement(range(2, 12), r):
@@ -441,6 +435,18 @@ def test_walk_only_joins_build_no_search_state(monkeypatch):
                 cases += [(g, parts)] + [(g, (*parts[:i], a + 1, *parts[i + 1:]))
                                          for i, a in enumerate(parts)
                                          if i == r - 1 or parts[i + 1] != a]
+    return cases
+
+
+def test_walk_only_joins_build_no_search_state(monkeypatch):
+    # The walk rule places every walk-only case, and no searched-block state
+    # is built.
+    def no_search(*args):
+        raise AssertionError("a join of walks built search state")
+
+    for name in ("_search_blocks", "_vertex_order", "_extend", "_color"):
+        monkeypatch.setattr(arrowing, name, no_search)
+    cases = _walk_only_cases()
     assert len(cases) == 17 + 221
     for g, parts in cases:
         result = find_free_coloring(g, parts)
@@ -448,6 +454,66 @@ def test_walk_only_joins_build_no_search_state(monkeypatch):
         expected = ARROWS if g.n == sig.m + sig.p else FREE
         assert (result.verdict, result.nodes) == (expected, 0), parts
         assert expected == ARROWS or graphs._is_free_coloring(g, parts, result.coloring), parts
+
+
+def _mixed_walk_joins():
+    """400 seeded joins of K_0..K_3 with one to four co-paths, even co-cycles
+    and odd co-cycles, relabelled, each against caps whose room falls short
+    of the walks' units by up to one more than the odd co-cycles: some fit
+    in arcs, some only with odd co-cycles put whole, and some arrow."""
+    rng = random.Random(3535)
+    cases = []
+    for _ in range(400):
+        g = complete(rng.randint(0, 3))
+        units, odd = g.n, 0
+        for _ in range(rng.randint(1, 4)):
+            pick = rng.random()
+            if pick < 0.3:
+                n, closed = rng.randint(2, 9), False
+            elif pick < 0.5:
+                n, closed = 2 * rng.randint(2, 5), True
+            else:
+                n, closed = 2 * rng.randint(1, 6) + 1, True
+            units += (n + 1) // 2
+            odd += closed and n % 2
+            g = join(g, _co_walk_graph(n, closed, rng.randrange(10**6)))
+        r = rng.randint(1, 4)
+        room = max(r, units - rng.randint(0, odd + 1))
+        cuts = sorted(rng.sample(range(1, room), r - 1))
+        caps = [b - a + 1 for a, b in zip([0, *cuts], [*cuts, room])]
+        cases.append((_relabelled(g, rng.randrange(10**6)), tuple(sorted(caps))))
+    return cases
+
+
+# SHA-256 of repr([(verdict, nodes, coloring), ...]) over `_walk_only_cases()`,
+# each as it is and under `_relabelled` seeds 1 and 2, then `_mixed_walk_joins()`:
+# the walk rule's verdicts and colorings, arcs and whole odd co-cycles alike,
+# are fixed output.
+WALK_ONLY_SHA256 = "25deb8c12fca43dc8d6cd32bacae45e319442860a42d42203523f5f193ee34a5"
+
+
+def test_the_walk_only_join_results_are_pinned(monkeypatch):
+    # `whole` lists the calls that put an odd co-cycle whole.
+    rows, whole = [], set()
+    place_whole = arrowing._place_whole
+
+    def placing(odd, *args):
+        left = place_whole(odd, *args)
+        if odd and left is not None:
+            whole.add(len(rows))
+        return left
+
+    monkeypatch.setattr(arrowing, "_place_whole", placing)
+    cases = [(h, parts) for g, parts in _walk_only_cases()
+             for h in (g, _relabelled(g, 1), _relabelled(g, 2))] + _mixed_walk_joins()
+    for g, parts in cases:
+        result = find_free_coloring(g, parts)
+        assert result.nodes == 0
+        assert result.verdict != FREE or graphs._is_free_coloring(g, parts, result.coloring)
+        rows.append((result.verdict, result.nodes, result.coloring))
+    mixed = [verdict for verdict, _, _ in rows[3 * 238:]]
+    assert (len(rows), mixed.count(FREE), len(whole)) == (3 * 238 + 400, 260, 90)
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == WALK_ONLY_SHA256
 
 
 # General parts, which no rule decides: each signature's verdict, "arrows"
