@@ -1,16 +1,16 @@
 """Exhaustive arrowing decisions: does every r-coloring of V(G) produce a
 monochromatic a_i-clique in some color class i?
 
-A graph is first split into its co-components, each walked as it is found
-(`_co_blocks`).  It is their join, so by the paper's composition law a
-class's clique number is the sum of its clique numbers in the parts, and
-class i has a room of a_i - 1 to share among them.  A part the rule below
-decides is counted as room; every other part is searched, under each
-sharing that can matter.  Every search runs in the calling process.
+A graph is split into its co-components in one pass, a singleton counted
+as it is met and any other part walked as it is found (`_join_coloring`).
+It is their join, so by the paper's composition law a class's clique number
+is the sum of its clique numbers in the parts, and class i has a room of
+a_i - 1 to share among them.  A part the rule below decides is counted as
+room; every other part is searched, under each sharing that can matter.
 
 A part whose complement is one path or one cycle, such as a singleton or
-the co-C_{2p+1} of every stock witness, is walked by `_co_walk` and decided
-by the walk rule, at no node.  Along its walk 0..n-1, with shares d_1..d_r:
+the co-C_{2p+1} of every stock witness, is decided by the walk rule at no
+node.  Along its walk 0..n-1 (`_co_walk`), with shares d_1..d_r:
 
 - co-P_n is free iff d_1 + ... + d_r >= ceil(n/2);
 - co-C_n is free iff that sum holds, or some d_i >= floor(n/2).
@@ -30,8 +30,8 @@ So co-P_n and co-C_{2t} count as ceil(n/2) units of room, as K_{ceil(n/2)}
 does, and co-C_{2t+1} as t + 1 units or as one class of room t that takes
 it whole, saving a unit.  The room the searched parts leave must hold the
 units less those saved; if any s odd co-cycles fit whole, the s smallest
-do (`_place_whole`).  `_deal_arcs` writes the rest straight into the
-output coloring, class by class in arcs along each walk.
+do (`_place_whole`).  `_deal_arcs` writes the other walks into the output
+coloring in arcs, class by class; the singletons take the room left.
 
 A join of rule parts alone is placed by that arithmetic (`_place_walks`);
 only one with a searched part builds search state (`_search_blocks`).
@@ -67,8 +67,6 @@ ARROWS = "arrows"
 FREE = "free-coloring"
 UNDECIDED = "undecided"
 
-# A co-component as (vertex mask, its walk or None, whether the walk closes).
-_Block = tuple[int, list[int] | None, bool]
 
 class BudgetExceededError(RuntimeError):
     """A search used up its node budget.  `find_free_coloring` reports it as
@@ -92,9 +90,11 @@ class SearchResult(_Record):
 
 
 def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:
-    """Split a vertex->color assignment into the r color classes."""
+    """Split a vertex->color assignment into the r color classes, 0..r-1."""
     classes: list[list[int]] = [[] for _ in range(r)]
     for v, c in enumerate(coloring):
+        if not 0 <= _integer(c, f"vertex {v} has a color that is not an integer") < r:
+            raise ValueError(f"vertex {v} has color {c}, outside 0..{r - 1}")
         classes[c].append(v)
     return classes
 
@@ -233,7 +233,7 @@ def _vertex_order(adj: tuple[int, ...], block: int) -> list[int]:
     return removed
 
 
-def _co_walk(adj: tuple[int, ...], mask: int) -> _Block:
+def _co_walk(adj: tuple[int, ...], mask: int) -> tuple[int, list[int] | None, bool]:
     """(block, walk, closed): the co-component of the lowest vertex of
     `mask` in the subgraph on `mask` and, when it is co-P_n or co-C_n, its
     vertices along the complement's path or cycle, with True for a cycle.
@@ -246,8 +246,8 @@ def _co_walk(adj: tuple[int, ...], mask: int) -> _Block:
     one pass: from the lowest vertex towards its lower non-neighbour, then,
     unless that closed a cycle, towards the other."""
     v = (mask & -mask).bit_length() - 1
-    seen = 1 << v
-    ends = mask & ~adj[v] ^ seen
+    left = mask ^ 1 << v  # not yet on the walk
+    ends = mask & ~adj[v] & left
     degree = ends.bit_count()
     if degree > 2:
         return _co_component(adj, mask), None, False
@@ -256,33 +256,20 @@ def _co_walk(adj: tuple[int, ...], mask: int) -> _Block:
         bit = ends & -ends
         side = []
         while bit:
-            seen |= bit
+            left ^= bit
             u = bit.bit_length() - 1
             side.append(u)
-            step = mask & ~adj[u] ^ bit
-            if step.bit_count() > 2:
+            step = mask & ~adj[u]  # u and its non-neighbours
+            if step.bit_count() > 3:
                 return _co_component(adj, mask), None, False
-            bit = step & ~seen
+            bit = step & left
         sides.append(side)
-        ends &= ~seen
+        ends &= left
     if len(sides) == 2:  # v inside a path: start at its lower end
         first, second = sides if sides[0][-1] < sides[1][-1] else sides[::-1]
-        return seen, first[::-1] + [v] + second, False
+        return mask ^ left, first[::-1] + [v] + second, False
     # v ends a path, or its one side came back round a cycle.
-    return seen, [v, *(sides[0] if sides else ())], degree == 2
-
-
-def _co_blocks(adj: tuple[int, ...], mask: int) -> list[_Block]:
-    """The co-components of the subgraph on `mask` as `_co_walk` gives them,
-    in one pass: the lowest vertex left is a block of its own when it is
-    joined to everything left, else its co-component is walked."""
-    blocks = []
-    while mask:
-        bit = mask & -mask
-        v = bit.bit_length() - 1
-        blocks.append((bit, [v], False) if mask & ~adj[v] == bit else _co_walk(adj, mask))
-        mask ^= blocks[-1][0]
-    return blocks
+    return mask ^ left, [v, *(sides[0] if sides else ())], degree == 2
 
 
 def _deal_arcs(walks: list[list[int]], room: list[int], coloring: list[int]) -> None:
@@ -341,7 +328,9 @@ def _place_walks(units: int, odd: list[tuple[int, int, list[int]]], room: tuple[
                  coloring: list[int]) -> tuple[tuple[int, ...], int] | None:
     """(the room left, how many odd co-cycles went whole into `coloring`) once
     the walks' `units` fit in `room`, or None."""
-    short = max(units - sum(room), 0)
+    short = units - sum(room)
+    if short <= 0:
+        return room, 0
     left = _place_whole(odd[:short], room, coloring, set()) if short <= len(odd) else None
     return None if left is None else (left, short)
 
@@ -432,37 +421,43 @@ def _search_blocks(adj: tuple[int, ...], big: list[int], units: int,
     return place(0, room)
 
 
-def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_Block],
+def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], big: list[int],
                    bud: _Budget) -> tuple[int, ...] | None:
-    """A free coloring (vertex -> color) of the join of `blocks`, as
-    `_co_walk` gives them, or None if the join arrows `parts`.
-
-    The walk rule's blocks count as units of room, a singleton as one.  A
-    join without a p-clique needs nothing more: the widest class takes every
-    vertex.  Else a join of walks alone is placed by `_place_walks`; only one
-    with a searched block builds search state, in `_search_blocks`.
-    """
-    big = []  # the searched blocks
+    """A free coloring (vertex -> color) of the join of the blocks `big`, each
+    searched whole, and the co-components of the other vertices, or None if
+    the join arrows `parts`.  The lowest vertex left is a singleton if it is
+    joined to everything left, else its co-component is walked (`_co_walk`),
+    or added to `big` if it has no walk.  A join without a p-clique needs
+    nothing more: the widest class takes every vertex.  Else a join of walks
+    alone is placed by `_place_walks`, and any other by `_search_blocks`."""
     walks = []  # the walks of co-paths and even co-cycles
-    singles = []  # the walks [v] of singletons
+    singles = []  # the singletons, a unit each
     odd = []  # (t, block, walk) of each co-C_{2t+1}
     units = 0
-    for block, walk, closed in blocks:
+    mask = (1 << len(adj)) - 1 ^ sum(big)
+    while mask:
+        bit = mask & -mask
+        v = bit.bit_length() - 1
+        if mask & ~adj[v] == bit:
+            singles.append(v)
+            mask ^= bit
+            continue
+        block, walk, closed = _co_walk(adj, mask)
+        mask ^= block
         if walk is None:
             big.append(block)
-        elif len(walk) == 1:
-            singles.append(walk)
+            continue
+        units += (len(walk) + 1) // 2
+        if closed and len(walk) % 2:
+            odd.append((len(walk) // 2, block, walk))
         else:
-            units += (len(walk) + 1) // 2
-            if closed and len(walk) % 2:
-                odd.append((len(walk) // 2, block, walk))
-            else:
-                walks.append(walk)
+            walks.append(walk)
     units += len(singles)
     big.sort(key=int.bit_count)  # the largest block is placed last
     odd.sort()  # if any s odd co-cycles fit whole, the s smallest do
-    # The walks' clique number is their units less one per odd co-cycle.
-    if parts and not _join_has_clique(adj, big, parts[-1] - units + len(odd)):
+    # k: the clique number of the walks and singletons; the join's if `big` is empty.
+    k = units - len(odd)
+    if parts and (not _join_has_clique(adj, big, parts[-1] - k) if big else k < parts[-1]):
         return (len(parts) - 1,) * len(adj)
     room = tuple(a - 1 for a in parts)
     coloring = [0] * len(adj)
@@ -473,7 +468,14 @@ def _join_coloring(adj: tuple[int, ...], parts: tuple[int, ...], blocks: list[_B
     left, short = found
     walks += [walk for _, _, walk in odd[short:]]
     walks.sort(key=len)
-    _deal_arcs(walks + singles, list(left), coloring)
+    left = list(left)
+    _deal_arcs(walks, left, coloring)
+    c = 0  # the singletons take the room the walks leave, in class order
+    for v in singles:
+        while not left[c]:
+            c += 1
+        left[c] -= 1
+        coloring[v] = c
     return tuple(coloring)
 
 
@@ -492,20 +494,19 @@ def find_free_coloring(g: Graph, sig: Signature | Iterable[int],
     """
     if _integer(jobs, "jobs must be an integer") < 1:
         raise ValueError("jobs must be >= 1")
-    return _decide(g, as_signature(sig), _co_blocks(g.adj, (1 << g.n) - 1), budget)
+    return _decide(g, as_signature(sig), [], budget)
 
 
-def _decide(g: Graph, sig: Signature, blocks: list[_Block],
-            budget: int | None) -> SearchResult:
-    """Decide g as the join of `blocks`, block by block: a lone block with
-    no walk, such as a co-connected graph, is searched whole."""
+def _decide(g: Graph, sig: Signature, big: list[int], budget: int | None) -> SearchResult:
+    """Decide g as the join of the blocks `big`, each searched whole, and the
+    co-components of its other vertices, block by block."""
     if budget is not None:
         budget = _integer(budget, "budget must be an integer or None")
     bud = _Budget(budget)
     if bud.limit is not None and bud.limit <= 0:
         raise ValueError("budget must be positive (or None for unlimited)")
     try:
-        coloring = _join_coloring(g.adj, sig.parts, blocks, bud)
+        coloring = _join_coloring(g.adj, sig.parts, big, bud)
     except BudgetExceededError:
         return SearchResult(UNDECIDED, None, bud.nodes)
     return SearchResult(ARROWS if coloring is None else FREE, coloring, bud.nodes)
@@ -550,5 +551,4 @@ def verify_composition_instance(g1: Graph, sig1: Signature | Iterable[int],
     rather than decided by itself.
     """
     g = join(g1, g2)
-    return _arrows(_decide(g, merge_at(sig1, sig2, position), [((1 << g.n) - 1, None, False)],
-                           budget), budget)
+    return _arrows(_decide(g, merge_at(sig1, sig2, position), [(1 << g.n) - 1], budget), budget)

@@ -253,6 +253,7 @@ def has_clique(g: Graph, subset: Iterable[int], k: int) -> bool:
         raise ValueError("clique size must be nonnegative")
     mask = 0
     for v in subset:
+        v = _integer(v, "subset vertices must be integers")
         if not 0 <= v < g.n:
             raise ValueError(f"vertex {v} out of range")
         mask |= 1 << v

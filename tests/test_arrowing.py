@@ -385,7 +385,8 @@ def _searched_joins():
                 part = random_graph(rng, rng.randint(4, 7))
             g = join(g, part)
         g = _relabelled(g, rng.randrange(10**6))
-        if all(walk for _, walk, _ in arrowing._co_blocks(g.adj, (1 << g.n) - 1)):
+        if all(arrowing._co_walk(g.adj, block)[1]
+               for block in graphs._co_components(g.adj, (1 << g.n) - 1)):
             continue
         cases.append((g, tuple(sorted(rng.randint(2, 6) for _ in range(rng.randint(2, 3))))))
     return cases
@@ -762,25 +763,76 @@ def test_the_walk_matches_the_oracle_on_every_small_block():
     assert found == {None, False, True}
 
 
-def _assert_the_pass_splits_and_walks(g, mask):
-    """`_co_blocks` on `mask`: the blocks of `graphs._co_components`, in its
+def _one_pass(monkeypatch):
+    """A function of (g, mask) that runs `_join_coloring`'s pass over the
+    vertices of `mask`, the others put in `big` as one block searched whole,
+    and returns the blocks it found in order, each as (block, walk, closed),
+    a singleton as (bit, [v], False).  It asserts that only blocks of two
+    or more vertices are walked, and that the units, the odd co-cycles and
+    the searched blocks handed on are those of the blocks found."""
+    walked, handed = [], []
+    real = arrowing._co_walk
+
+    def walk(adj, mask):
+        walked.append((mask, real(adj, mask)))
+        return walked[-1][1]
+
+    monkeypatch.setattr(arrowing, "_co_walk", walk)
+    monkeypatch.setattr(arrowing, "_place_walks",
+                        lambda units, odd, *rest: handed.append((units, odd, [])))
+    monkeypatch.setattr(arrowing, "_search_blocks",
+                        lambda adj, big, units, odd, *rest: handed.append((units, odd, big)))
+
+    def run(g, mask):
+        walked.clear()
+        handed.clear()
+        outside = (1 << g.n) - 1 ^ mask
+        arrowing._join_coloring(g.adj, (), [outside] if outside else [], arrowing._Budget(None))
+        blocks, left = [], mask
+        for seen, found in walked + [(0, None)]:
+            while left != seen:  # the singletons met before this walk
+                assert left, (g.edges(), mask)
+                bit = left & -left
+                blocks.append((bit, [bit.bit_length() - 1], False))
+                left ^= bit
+            if found:
+                assert found[1] is None or len(found[1]) > 1, (g.edges(), mask)
+                blocks.append(found)
+                left ^= found[0]
+        [(units, odd, big)] = handed
+        walks = [(block, walk, closed) for block, walk, closed in blocks if walk]
+        assert units == sum((len(walk) + 1) // 2 for _, walk, _ in walks)
+        assert odd == sorted((len(walk) // 2, block, walk) for block, walk, closed in walks
+                             if closed and len(walk) % 2)
+        assert sorted(big) == sorted([outside] * bool(outside) +
+                                     [block for block, walk, _ in blocks if walk is None])
+        return blocks
+
+    return run
+
+
+def _assert_the_pass_splits_and_walks(one_pass, g, mask):
+    """`one_pass` on `mask`: the blocks of `graphs._co_components`, in its
     order, each walked as `conftest.co_walk_oracle` walks it."""
-    blocks = arrowing._co_blocks(g.adj, mask)
+    blocks = one_pass(g, mask)
     assert [block for block, _, _ in blocks] == graphs._co_components(g.adj, mask)
     for block, walk, closed in blocks:
         assert (block, walk, closed) == co_walk_oracle(g.adj, block), (g.edges(), mask)
+    return blocks
 
 
-def test_the_one_pass_matches_the_bfs_and_the_oracle_on_every_small_mask():
+def test_the_one_pass_matches_the_bfs_and_the_oracle_on_every_small_mask(monkeypatch):
+    one_pass = _one_pass(monkeypatch)
     for n in range(0, 6):
         for g in all_graphs(n):
             for mask in range(1 << n):
-                _assert_the_pass_splits_and_walks(g, mask)
+                _assert_the_pass_splits_and_walks(one_pass, g, mask)
 
 
-def test_the_one_pass_matches_the_bfs_and_the_oracle_on_relabelled_joins():
+def test_the_one_pass_matches_the_bfs_and_the_oracle_on_relabelled_joins(monkeypatch):
     # Seeded joins of K_0..K_3 with co-paths, co-cycles and general parts,
     # their labels shuffled so that no block is a run of labels.
+    one_pass = _one_pass(monkeypatch)
     rng = random.Random(2626)
     general = [C13, mycielskian(cycle(5)), complement(from_edges(4, [(0, 1), (0, 2), (0, 3)]))]
     kinds = set()
@@ -796,9 +848,8 @@ def test_the_one_pass_matches_the_bfs_and_the_oracle_on_relabelled_joins():
                 part = rng.choice(general)
             g = join(g, part)
         g = _relabelled(g, rng.randrange(10**6))
-        _assert_the_pass_splits_and_walks(g, (1 << g.n) - 1)
-        kinds.update(walk and (len(walk) > 1, closed)
-                     for _, walk, closed in arrowing._co_blocks(g.adj, (1 << g.n) - 1))
+        blocks = _assert_the_pass_splits_and_walks(one_pass, g, (1 << g.n) - 1)
+        kinds.update(walk and (len(walk) > 1, closed) for _, walk, closed in blocks)
     assert kinds == {None, (False, False), (True, False), (True, True)}
 
 
@@ -1053,3 +1104,17 @@ def test_nodes_are_counted():
 def test_color_classes_helper():
     assert color_classes((0, 1, 0, 1), 2) == [[0, 2], [1, 3]]
     assert color_classes((), 2) == [[], []]
+
+
+def test_color_classes_refuses_colors_outside_the_classes():
+    # A negative color indexed the classes from the end, so [0, -1, 1] gave
+    # [[0], [1, 2]]; a color of r or more was a bare IndexError, and 1.0 a
+    # bare TypeError.
+    with pytest.raises(ValueError, match=r"^vertex 1 has color -1, outside 0\.\.1$"):
+        color_classes([0, -1, 1], 2)
+    with pytest.raises(ValueError, match=r"^vertex 2 has color 2, outside 0\.\.1$"):
+        color_classes([0, 1, 2], 2)
+    for bad in (1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^vertex 1 has a color that is not an integer, got {bad!r}$"):
+            color_classes([0, bad], 2)
+    assert color_classes([True, False, 1], 2) == [[1], [0, 2]]  # a bool is its int

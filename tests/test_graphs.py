@@ -142,6 +142,20 @@ def test_a_clique_size_must_be_an_integer():
     assert has_clique(cycle(5), range(5), True)  # a bool is its int
 
 
+def test_subset_vertices_must_be_integers():
+    # Compared with 0 and n alone, 0.0 passed and then ended in a bare
+    # TypeError at the shift, and "1" could not be compared with 0.
+    for bad in ([0.0, 1], ["1", 2], [0, 1.5]):
+        with pytest.raises(ValueError, match="^subset vertices must be integers, got "):
+            has_clique(cycle(5), bad, 2)
+    with pytest.raises(ValueError, match="^vertex 5 out of range$"):
+        has_clique(cycle(5), [0, 5], 2)
+    with pytest.raises(ValueError, match="^vertex -1 out of range$"):
+        has_clique(cycle(5), [-1], 1)
+    assert has_clique(cycle(5), [False, True], 2)  # a bool is its int: the edge 0-1
+    assert not has_clique(cycle(5), [True, 3], 2)
+
+
 def test_has_clique_matches_brute_force():
     rng = random.Random(31337)
     for i in range(400):  # then subsets of joins
