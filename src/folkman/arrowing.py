@@ -41,10 +41,13 @@ positions: `_extend` colors it vertex by vertex in that order and prunes a
 branch once a class would hold its forbidden clique
 (`graphs._mask_has_clique`); under caps all 2, `_color` asks for a proper
 coloring with forward checking (Haralick & Elliott 1980) and DSATUR's tie
-(Brelaz 1979).  Both break symmetry among colors with equal caps by first
-use and share one budget.  Once the rest of the join fits, a part's classes
-are written through its order into the output coloring, as is each odd
-co-cycle put whole along its walk: nothing written is ever taken back.
+(Brelaz 1979).  Once every class is open, it places all the vertices with
+one color left at once, a class at a time, as unit propagation does (Davis,
+Logemann & Loveland 1962), and branches only when none is left.  Both break
+symmetry among colors with equal caps by first use and share one budget.
+Once the rest of the join fits, a part's classes are written through its
+order into the output coloring, as is each odd co-cycle put whole along its
+walk: nothing written is ever taken back.
 
 "Arrows" is only reported after the pruned tree is provably exhausted; a
 free coloring is returned as a concrete counterexample otherwise.  Node
@@ -77,7 +80,10 @@ class SearchResult(_Record):
     """Outcome of one arrowing search.
 
     `coloring` maps vertex -> color index (0-based) when the verdict is a
-    free coloring, else None.  `nodes` counts search-tree nodes expanded.
+    free coloring, else None.  `nodes` counts search-tree nodes: one per
+    class a search tries for a vertex, and under all-2 caps one per vertex
+    placed because one color is left to it, or one for a class whose such
+    vertices are adjacent.
     """
 
     __slots__ = ("verdict", "coloring", "nodes")
@@ -91,6 +97,7 @@ class SearchResult(_Record):
 
 def color_classes(coloring: Sequence[int], r: int) -> list[list[int]]:
     """Split a vertex->color assignment into the r color classes, 0..r-1."""
+    r = _integer(r, "the class count r must be an integer")
     classes: list[list[int]] = [[] for _ in range(r)]
     for v, c in enumerate(coloring):
         if not 0 <= _integer(c, f"vertex {v} has a color that is not an integer") < r:
@@ -136,9 +143,10 @@ def _extend(rows: list[int], caps: tuple[int, ...], pos: int, masks: list[int],
 
 def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: int,
            budget: _Budget) -> bool:
-    """True iff the vertices in `left` can be colored on top of `masks`, the
-    first `used` of which are nonempty; `forb[c]` is the union of the rows
-    of class c, the vertices it can no longer take.
+    """True iff the vertices in `left` can be colored on top of the classes
+    placed so far, the first `used` of which are nonempty; only then are
+    they added to `masks`.  `forb[c]` is the union of the rows of class c,
+    the vertices it can no longer take.
 
     Only the first empty class may open, so a vertex's colors left are
     those classes c < used whose `forb` misses it, plus one if a class is
@@ -156,10 +164,40 @@ def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: 
         one |= free
     if left & ~one:
         return False  # a vertex with no color left
-    # A vertex with one color left; else, of those with two, the one with
-    # the most uncolored neighbours (DSATUR's tie), the earliest on ties;
-    # else the next in the order.
     pick = one & ~two
+    if pick and used == r:
+        # Every class is open, so each vertex with one color left takes it in
+        # any coloring that extends this one: class by class, its forced
+        # vertices go in at once, a node each.  Two of them adjacent fail
+        # the class, at one node.
+        saved = forb[:]
+        for c, f in enumerate(saved):
+            fc = bits = pick & ~f
+            if not fc:
+                continue
+            row = 0
+            while bits:
+                bit = bits & -bits
+                row |= rows[bit.bit_length() - 1]
+                bits ^= bit
+            k = 1 if fc & row else fc.bit_count()
+            if budget.limit is not None and budget.nodes + k > budget.limit:
+                budget.nodes = budget.limit
+                raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
+            budget.nodes += k
+            if fc & row:
+                forb[:] = saved
+                return False
+            forb[c] = f | row
+        if _color(rows, left ^ pick, masks, forb, used, budget):
+            for c, f in enumerate(saved):
+                masks[c] |= pick & ~f
+            return True
+        forb[:] = saved
+        return False
+    # A vertex that opens the next class; else, of those with two colors
+    # left, the one with the most uncolored neighbours (DSATUR's tie), the
+    # earliest on ties; else the next in the order.
     if pick:
         vbit = pick & -pick
     else:
@@ -181,11 +219,10 @@ def _color(rows: list[int], left: int, masks: list[int], forb: list[int], used: 
         if budget.nodes == budget.limit:
             raise BudgetExceededError(f"search budget of {budget.limit} nodes used up")
         budget.nodes += 1
-        masks[c] |= vbit
         forb[c] = f | row
         if _color(rows, left, masks, forb, used + (c == used), budget):
-            return True  # keep masks intact: they hold the coloring
-        masks[c] ^= vbit
+            masks[c] |= vbit
+            return True
         forb[c] = f
     return False
 

@@ -1,6 +1,7 @@
 import hashlib
 import multiprocessing
 import random
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -312,7 +313,7 @@ SEARCH_CORPUS_NODES = {
     (4, 4, 5): (0, {(4, 5, 5): 0, (4, 4, 6): 0}),
     (5, 8): (0, {(6, 8): 0, (5, 9): 0}),
     (6, 9): (0, {(7, 9): 0, (6, 10): 0}),
-    (2, 2, 2, 2): (840, {(2, 2, 2, 3): 0}),
+    (2, 2, 2, 2): (874, {(2, 2, 2, 3): 0}),
 }
 
 
@@ -352,7 +353,7 @@ def _search_corpus():
 # SHA-256 of repr([(verdict, nodes, coloring), ...]) over `_search_corpus()`.
 # A change that moves any verdict, node count or free coloring of the
 # benchmark's search instances moves this, and must say so.
-SEARCH_CORPUS_SHA256 = "b8429c847771bcda38b4e7cba349563c500db1e4f5ce4e4b74addd288dbbf568"
+SEARCH_CORPUS_SHA256 = "ece1190ed8709bcefa3a540e4a446bdca132f4602491551dcca0ef9591741ac9"
 
 
 def test_the_search_corpus_results_are_pinned():
@@ -395,7 +396,7 @@ def _searched_joins():
 # SHA-256 of repr([(verdict, nodes, coloring), ...]) over `_searched_joins()`
 # at a budget of 20,000 nodes: the placements of searched parts, several at
 # once and beside odd co-cycles put whole, are fixed output.
-SEARCHED_JOINS_SHA256 = "f73190979ed0ea9ebc6e7ae4848ebc601803815043d887297c9aedc1e15cf66f"
+SEARCHED_JOINS_SHA256 = "84d6748b1db29f2a01777a6c64eed9e063194b512abb576066d95b7f62dc22fa"
 
 
 def test_the_searched_join_results_are_pinned(monkeypatch):
@@ -964,8 +965,9 @@ def _no_all_2_extend(monkeypatch):
 
 def test_mycielski_m4_arrows_2222_cheaply(monkeypatch):
     # M4 is 5-chromatic.  Vertex by vertex it takes 106,352 nodes; with
-    # forward checking it takes 2,528, and with DSATUR's degree tie among
-    # the vertices with two colors left, 840.
+    # forward checking it takes 2,528, with DSATUR's degree tie among the
+    # vertices with two colors left 840, and with the vertices that have one
+    # color left placed a class at a time, 874.
     _no_all_2_extend(monkeypatch)
     m4 = mycielskian(mycielskian(cycle(5)))
     assert find_free_coloring(m4, [2, 2, 2, 2], budget=1_000).verdict == ARROWS
@@ -979,6 +981,35 @@ def test_the_coloring_budget_stops_at_exactly_its_nodes():
         assert (find_free_coloring(grotzsch, parts, budget=full.nodes - 1)
                 == SearchResult(UNDECIDED, None, full.nodes - 1))
         assert find_free_coloring(grotzsch, parts, budget=full.nodes) == full
+
+
+def test_every_budget_below_m4s_nodes_stops_at_exactly_its_nodes():
+    # M4's forced vertices go into a class up to four at a time, so 166 of
+    # these budgets run out inside a batch, which must stop at the budget.
+    m4 = mycielskian(mycielskian(cycle(5)))
+    full = find_free_coloring(m4, [2, 2, 2, 2], budget=None)
+    assert full == SearchResult(ARROWS, None, 874)
+    for budget in range(1, full.nodes):
+        assert (find_free_coloring(m4, [2, 2, 2, 2], budget=budget)
+                == SearchResult(UNDECIDED, None, budget)), budget
+
+
+def test_two_adjacent_vertices_forced_into_one_class_end_the_branch():
+    # Vertices 0 and 1 are adjacent and class 1 forbids both, so class 0 is
+    # the only color left to either: the branch fails at one node, with
+    # `forb` as it was and `masks` unwritten.
+    masks, forb, bud = [0, 0], [0, 0b11], arrowing._Budget(None)
+    assert not arrowing._color([0b10, 0b01], 0b11, masks, forb, 2, bud)
+    assert (bud.nodes, masks, forb) == (1, [0, 0], [0, 0b11])
+    # Three independent vertices forced into class 0 are placed together:
+    # three nodes, which a budget of two stops at exactly two.
+    masks, forb, bud = [0, 0], [0, 0b111], arrowing._Budget(None)
+    assert arrowing._color([0, 0, 0], 0b111, masks, forb, 2, bud)
+    assert (bud.nodes, masks) == (3, [0b111, 0])
+    bud = arrowing._Budget(2)
+    with pytest.raises(BudgetExceededError):
+        arrowing._color([0, 0, 0], 0b111, [0, 0], [0, 0b111], 2, bud)
+    assert bud.nodes == 2
 
 
 def test_a_zero_share_is_no_coloring_at_no_node(monkeypatch):
@@ -1118,3 +1149,12 @@ def test_color_classes_refuses_colors_outside_the_classes():
         with pytest.raises(ValueError, match=f"^vertex 1 has a color that is not an integer, got {bad!r}$"):
             color_classes([0, bad], 2)
     assert color_classes([True, False, 1], 2) == [[1], [0, 2]]  # a bool is its int
+
+
+def test_color_classes_reads_its_class_count_as_an_integer():
+    # A class count of 1.5 or "2" was a bare TypeError from `range`.
+    for bad in (1.5, "2", None):
+        with pytest.raises(ValueError, match=re.escape(
+                f"the class count r must be an integer, got {bad!r}")):
+            color_classes([0], bad)
+    assert color_classes([0], True) == [[0]]  # a bool is its int

@@ -13,7 +13,7 @@ from folkman.graphs import Graph, complement, complete, cycle, from_edges, has_c
 from folkman.signatures import normalize
 
 from conftest import (brute_subset_has_clique, circulant, coloring_is_free, mycielskian,
-                      naive_arrows, naive_find_free)
+                      naive_arrows, naive_find_free, properly_colorable)
 
 MAX_N = 8
 PROPERTY = settings(max_examples=150, deadline=None, derandomize=True)
@@ -116,6 +116,20 @@ def test_a_budget_stops_the_search_at_exactly_its_nodes(g, raw):
         assert find_free_coloring(g, sig, budget=budget) == SearchResult(UNDECIDED, None, budget)
     for budget in (max(full.nodes, 1), full.nodes + 1):
         assert find_free_coloring(g, sig, budget=budget) == full
+
+
+@PROPERTY
+@given(graphs(0, 9), st.integers(2, 5))
+def test_the_coloring_search_matches_the_proper_coloring_oracle(g, r):
+    # `_color` alone, in the graph's own numbering: vertices with one color
+    # left go in a class at a time, and the verdict and coloring must hold.
+    masks = [0] * r
+    ok = arrowing._color(list(g.adj), (1 << g.n) - 1, masks, [0] * r, 0, arrowing._Budget(None))
+    assert ok == properly_colorable(g, r)
+    if ok:
+        coloring = [next(c for c, mask in enumerate(masks) if mask >> v & 1) for v in range(g.n)]
+        assert sum(map(int.bit_count, masks)) == g.n
+        assert coloring_is_free(g, (2,) * r, coloring)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
