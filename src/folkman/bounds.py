@@ -100,7 +100,7 @@ class KnownTable:
     composition DP or the (2,2,p) link builds from the other entries."""
 
     def __init__(self, entries: Iterable[KnownValue] = ()):
-        self._by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
+        by_key: dict[tuple[tuple[int, ...], int], list[KnownValue]] = {}
         self._splits: dict[tuple[int, ...], tuple[dict, dict]] = {}  # `_best_splits` per prefix
         for entry in entries:
             sig, q = entry.signature, entry.q
@@ -108,7 +108,7 @@ class KnownTable:
             if not folkman_exists(sig, q):
                 raise ValueError(f"{where}F({sig};{q}) does not exist: q must exceed {sig.p}")
             rules = base_bounds(sig, q)  # its first rule gives the lower side, its last the upper
-            group = self._by_key.setdefault((sig.parts, q), [])
+            group = by_key.setdefault((sig.parts, q), [])
             sides = [(rules.lower, None, rules.provenance[0].name),
                      (None, rules.upper, rules.provenance[-1].name)] if rules.provenance else []
             sides += [(old.lower, old.upper, f"{old.citation!r} at {old.source}" if old.source
@@ -122,34 +122,28 @@ class KnownTable:
                     continue
                 raise ValueError(f"{where}F({sig};{q}): {clash} of {name}")
             group.append(entry)
+        # Each key merged once: largest lower, smallest upper, citations in row order.
+        self._sides = {key: (max((e.lower for e in group if e.lower is not None), default=None),
+                             min((e.upper for e in group if e.upper is not None), default=None),
+                             tuple(e.citation for e in group)) for key, group in by_key.items()}
         # Rows may still cross through the composition DP or the (2,2,p) link,
         # which `best_bounds` alone reads: it is asked once every row is in,
         # since the DP keeps its prices on the table.  Only a (sig, q) with a
         # row can cross, by its lower row; a (2,2,p) record reads its (3,p)
         # partner's, so the partners are asked first.
-        for parts, q in sorted(self._by_key, key=lambda key: key[0][:2] == (2, 2)):
+        for parts, q in sorted(by_key, key=lambda key: key[0][:2] == (2, 2)):
             try:
                 best_bounds(parts, q, self)
             except ValueError as exc:
-                row = max((e for e in self._by_key[parts, q] if e.lower is not None),
+                row = max((e for e in by_key[parts, q] if e.lower is not None),
                           key=attrgetter("lower"))
                 where = f"{row.source}: " if row.source else ""
                 raise ValueError(f"{where}{exc}") from None
 
     def combined(self, sig: Signature, q: int) -> tuple[int | None, int | None, list[str]]:
         """Tightest (lower, upper) over all entries for (sig, q), with citations."""
-        group = self._by_key.get((sig.parts, q))
-        if group is None:
-            return None, None, []
-        lower = upper = None
-        citations = []
-        for e in group:
-            if e.lower is not None and (lower is None or e.lower > lower):
-                lower = e.lower
-            if e.upper is not None and (upper is None or e.upper < upper):
-                upper = e.upper
-            citations.append(e.citation)
-        return lower, upper, citations
+        lower, upper, citations = self._sides.get((sig.parts, q), (None, None, ()))
+        return lower, upper, [*citations]
 
 
 def parse_known_values(text: str, source: str = "<string>") -> list[KnownValue]:

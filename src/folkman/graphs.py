@@ -329,8 +329,11 @@ def _is_free_coloring(g: Graph, parts: Sequence[int], coloring: Sequence[int]) -
     """True iff no class c of `coloring` holds a clique of parts[c] vertices.
 
     A class's clique number is the sum of its co-components' (the composition
-    law), each by `_max_clique_mask`'s branch and bound: it shares no code
-    with the engine's clique check and is fast on large free classes.
+    law), each by `_max_clique_mask`'s branch and bound, which is fast on
+    large free classes.  It shares no code with `_mask_has_clique`, but on a
+    join with two or more searched blocks the engine's "no p-clique" exit
+    sums `_max_clique_mask` sizes too (`_join_has_clique`), so there the two
+    checks share that routine; `tests/conftest.py` holds an independent one.
     """
     masks = [0] * len(parts)
     for v, c in enumerate(coloring):

@@ -16,8 +16,8 @@ from typing import Iterable
 from .arrowing import ARROWS, DEFAULT_BUDGET, FREE, find_free_coloring
 from .formats import parse_graph6, read_graph_file, serialize_graph6
 from .graphs import Graph, _is_free_coloring, complement, complete, cycle, join, max_clique
-from .signatures import (Signature, _Record, _field_integer, _integer, as_signature,
-                         folkman_exists, merge_at)
+from .signatures import (Signature, _Record, _field_integer, as_signature, folkman_exists,
+                         merge_at)
 
 VERIFIED = "verified"
 UNVERIFIED = "unverified"
@@ -102,8 +102,6 @@ def base_witness(sig: Signature | Iterable[int], q: int) -> WitnessCertificate:
 
 def _recheck_operand(c: WitnessCertificate) -> int:
     """Decide a "verified" operand's claim again by `_check`; return its clique number."""
-    if c.status != VERIFIED:
-        raise ValueError(f"can only compose verified certificates, got {c.status}")
     checked, omega = _check(c.graph, c.signature, c.q, c.construction, DEFAULT_BUDGET)
     claim = f"the certificate for F({c.signature};{c.q}) ({c.construction})"
     if checked.clique is not None:
@@ -126,13 +124,16 @@ def compose_witness(c1: WitnessCertificate, c2: WitnessCertificate,
     as `witness` and `verify` decide theirs (once for a self-join): a clique at
     its own cap q, or no arrowing verdict within DEFAULT_BUDGET, rejects it.
     The join itself rests on the composition law
-    (`verify_composition_instance` is its engine check).  `position` is read
-    as an integer before either operand is decided.
+    (`verify_composition_instance` is its engine check).  Both statuses and
+    `merge_at` (the signatures and `position`) are checked before either
+    operand is decided.
     """
-    position = _integer(position, "position must be an integer")
+    for c in (c1, c2):
+        if c.status != VERIFIED:
+            raise ValueError(f"can only compose verified certificates, got {c.status}")
+    merged = merge_at(c1.signature, c2.signature, position)
     omega1 = _recheck_operand(c1)
     q = omega1 + (omega1 if c2 is c1 else _recheck_operand(c2)) + 1
-    merged = merge_at(c1.signature, c2.signature, position)
     if not folkman_exists(merged, q):
         raise ValueError(f"composed clique cap {q} does not exceed max part {merged.p}")
     construction = f"compose[{c1.construction} | {c2.construction}]"
@@ -155,6 +156,8 @@ def load_external_witness(path: str, sig: Signature | Iterable[int], q: int,
 
 
 _CERT_HEADER = "folkman-witness v1"
+_CERT_FIELDS = ("graph6", "signature", "q", "vertices", "status", "construction",
+                "free-coloring", "clique")  # every key `format_certificate` can write
 
 
 def certificate_fields(cert: WitnessCertificate) -> dict:
@@ -196,6 +199,8 @@ def parse_certificate(text: str) -> WitnessCertificate:
         if not sep:
             raise ValueError(f"malformed certificate line {ln!r}")
         key = key.strip()
+        if key not in _CERT_FIELDS:  # a misspelt evidence field would go unchecked
+            raise ValueError(f"unknown certificate field {key!r}")
         if key in fields:  # a later copy must not overwrite a field
             raise ValueError(f"certificate repeats field {key!r}")
         fields[key] = value.strip()

@@ -542,6 +542,19 @@ def test_table_combines_tightest():
     assert citations == ["a", "b"]
 
 
+def test_combined_hands_out_a_fresh_citation_list():
+    # The sides are merged once, when the table is built; a caller that
+    # changes the list it was given changes nothing in the table.
+    sig = normalize([3, 4])
+    table = KnownTable([KnownValue(sig, 5, 12, None, "a"), KnownValue(sig, 5, 11, None, "b")])
+    citations = table.combined(sig, 5)[2]
+    citations[0] = "forged"
+    citations.append("forged")
+    assert table.combined(sig, 5) == (12, None, ["a", "b"])
+    table.combined(normalize([4, 4]), 6)[2].append("forged")
+    assert table.combined(normalize([4, 4]), 6) == (None, None, [])
+
+
 def test_violating_table_entry_is_a_data_error():
     # rules give lower m+p+2 = 10 > claimed upper 5: refused when the table is built
     with pytest.raises(ValueError, match="^F\\(3,3;4\\): upper 5 < lower 10 of LOWER-M-1$"):

@@ -1,4 +1,5 @@
 import importlib
+import sys
 
 import pytest
 
@@ -54,3 +55,13 @@ def test_an_unknown_attribute_is_named():
         folkman.no_such_name
     with pytest.raises(ImportError, match="no_such_name"):
         exec("from folkman import no_such_name", {})
+
+
+def test_a_submodule_not_yet_imported_is_imported_on_first_access(monkeypatch):
+    # This process has loaded every submodule, so one is unloaded here; in a
+    # fresh interpreter `import folkman` loads none (test_cli checks that).
+    monkeypatch.delitem(sys.modules, "folkman.graphs")
+    monkeypatch.delattr(folkman, "graphs")
+    module = folkman.graphs
+    assert module.__name__ == "folkman.graphs"
+    assert sys.modules["folkman.graphs"] is module

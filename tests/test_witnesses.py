@@ -199,13 +199,19 @@ def test_compose_decides_each_operand_by_one_claim_check(monkeypatch):
 
 
 def test_compose_reads_position_before_deciding_an_operand(monkeypatch):
-    c = base_witness([2, 2], 3)
+    c, other = base_witness([2, 2], 3), base_witness([2, 3], 4)
     assert compose_witness(c, c, True) == compose_witness(c, c, 1)
     checks = []
     monkeypatch.setattr(witnesses, "_check", lambda *args: checks.append(args) or None)
     for position in (1.5, 1.0, "1"):
         with pytest.raises(ValueError, match="position must be an integer"):
             compose_witness(c, c, position)
+    # Signatures that do not merge, and a position past the last part, are
+    # refused before either operand is decided too.
+    with pytest.raises(ValueError, match="signatures differ away from position 0"):
+        compose_witness(c, other, 0)
+    with pytest.raises(ValueError, match="position 7 out of range for 2 parts"):
+        compose_witness(c, c, 7)
     assert not checks
 
 
@@ -528,6 +534,14 @@ def test_certificate_fields_must_not_repeat():
                         (refuted + "free-coloring: 0,0,1,1,0\n", "free-coloring")):
         with pytest.raises(ValueError, match=f"repeats field '{field}'"):
             parse_certificate(text)
+
+
+def test_certificate_refuses_an_unknown_field():
+    # Ignored, a misspelt evidence field left its evidence unchecked.
+    text = format_certificate(base_witness([2, 2], 3))
+    for line, field in (("free_coloring: 0,0", "free_coloring"), ("bogus: 1", "bogus")):
+        with pytest.raises(ValueError, match=f"^unknown certificate field '{field}'$"):
+            parse_certificate(text + line + "\n")
 
 
 def test_verified_small_certificates_confirmed_by_naive_oracle():
